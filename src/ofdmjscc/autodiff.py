@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,6 +39,35 @@ def perturb_vjp(op: str, scale: float):
         yield
     finally:
         _vjp_scale.pop(op, None)
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+class no_grad:
+    """Context manager: ops recorded inside get no VJP; no gradient flows
+    through them and ``backward`` stops at them.
+
+    Such a node lists its inputs as ``parents`` (for tools that inspect a
+    fresh node, such as FLOP counting) only until an op consumes it. So no
+    graph builds up: each op's closures (and what they hold, such as conv2d's
+    im2col matrix) and its input values are freed as soon as the next op has
+    consumed its output. The state is per thread, so enter it in the thread
+    that runs the ops.
+    """
+
+    def __enter__(self):
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
+        return self
+
+    def __exit__(self, *exc):
+        _grad_mode.enabled = self._prev
+        return False
 
 
 class Node:
@@ -97,7 +127,8 @@ def record(op: str, inputs: Sequence[Node], forward: Callable, vjp: Callable) ->
     """Run ``forward`` on the input values and record the result node.
 
     Raises ``FloatingPointError`` if the forward produces NaN/Inf and
-    ``TypeError``/``ValueError`` on malformed inputs.
+    ``TypeError``/``ValueError`` on malformed inputs. Under :class:`no_grad`
+    the node gets no VJP (see there).
     """
     for n in inputs:
         if not isinstance(n, Node):
@@ -111,7 +142,12 @@ def record(op: str, inputs: Sequence[Node], forward: Callable, vjp: Callable) ->
     if not np.all(np.isfinite(value)):
         raise FloatingPointError(f"{op}: non-finite forward value")
     value.setflags(write=False)
-    return Node(value, tuple(inputs), vjp, op)
+    if _grad_mode.enabled:
+        return Node(value, tuple(inputs), vjp, op)
+    for n in inputs:
+        if n.vjp is None and n.parents:
+            n.parents = ()  # a consumed no_grad node: unlink, so no chain forms
+    return Node(value, tuple(inputs), op=op)
 
 
 def _require_same_shape(op: str, a: Node, b: Node) -> None:
@@ -166,10 +202,8 @@ def mul_const(a: Node, c: float) -> Node:
 def sqrt(a: Node) -> Node:
     if np.any(a.value < 0.0):
         raise ValueError("sqrt: negative input")
-    out = record("sqrt", (a,), np.sqrt, None)
-    sv = out.value
-    out.vjp = lambda g: (g * (0.5 / sv),)
-    return out
+    sv = np.sqrt(a.value)
+    return record("sqrt", (a,), lambda x: sv, lambda g: (g * (0.5 / sv),))
 
 
 def recip(a: Node) -> Node:
@@ -202,10 +236,7 @@ def sigmoid(a: Node) -> Node:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    node = record("sigmoid", (a,), lambda x_: out, None)
-    sv = node.value
-    node.vjp = lambda g: (g * sv * (1.0 - sv),)
-    return node
+    return record("sigmoid", (a,), lambda x_: out, lambda g: (g * out * (1.0 - out),))
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +482,17 @@ def upsample2x(x: Node) -> Node:
 # backward sweep
 # ---------------------------------------------------------------------------
 
+def _grad_parents(node: Node) -> tuple:
+    """The parents a gradient flows to: none from leaves and no_grad nodes."""
+    return node.parents if node.vjp is not None else ()
+
+
 def _reachable(loss: Node) -> list[Node]:
     seen = {loss.nid: loss}
     stack = [loss]
     while stack:
         node = stack.pop()
-        for p in node.parents:
+        for p in _grad_parents(node):
             if p.nid >= node.nid:
                 raise RuntimeError("cycle detected: parent id >= child id")
             if p.nid not in seen:
@@ -484,7 +520,7 @@ def backward(loss: Node, order: Sequence[Node] | None = None) -> dict[Node, np.n
             raise ValueError("backward: order must cover exactly the reachable graph")
         pos = {n.nid: i for i, n in enumerate(nodes)}
         for n in nodes:
-            for p in n.parents:
+            for p in _grad_parents(n):
                 if pos[p.nid] <= pos[n.nid]:
                     raise ValueError("backward: order is not topological")
 
@@ -506,7 +542,7 @@ def backward(loss: Node, order: Sequence[Node] | None = None) -> dict[Node, np.n
                                  f"{node.value.shape} at op {node.op!r}")
         node.grad = g
         grads[node] = g
-        if node.parents:
+        if _grad_parents(node):
             factor = _vjp_scale.get(node.op, 1.0)
             pgrads = node.vjp(g)
             if len(pgrads) != len(node.parents):

@@ -45,6 +45,16 @@ def sample_channel(rng: np.random.Generator, n_taps: int, gamma: float,
     return scale * (g[..., 0] + 1j * g[..., 1])
 
 
+def awgn(rng: np.random.Generator, shape: tuple, sigma_sq: float) -> np.ndarray:
+    """Complex noise CN(0, sigma_sq) of ``shape``.
+
+    Draw order is fixed: one standard-normal block of shape ``shape + (2,)``
+    supplies the real/imaginary parts, scaled by sqrt(sigma_sq / 2).
+    """
+    g = rng.standard_normal(tuple(shape) + (2,))
+    return np.sqrt(sigma_sq / 2.0) * (g[..., 0] + 1j * g[..., 1])
+
+
 def snr_to_sigma_sq(snr_db: float, p_s: float = 1.0) -> float:
     """Noise variance sigma^2 (total, both components) for a given SNR in dB."""
     return float(p_s) * 10.0 ** (-float(snr_db) / 10.0)
@@ -63,7 +73,7 @@ def apply_channel(y: CplxNode, h: np.ndarray, sigma_sq: float,
     """Propagate a batch of signals: ``h * y + w`` (linear convolution + AWGN).
 
     ``y`` has shape (B, T), ``h`` is a complex (B, n_taps) constant. Noise is
-    CN(0, sigma_sq) per sample, drawn as a (B, T, 2) standard-normal block;
+    CN(0, sigma_sq) per sample, drawn by :func:`awgn`;
     ``sigma_sq = 0`` (noiseless) needs no generator.
     """
     if y.re.value.ndim != 2:
@@ -85,7 +95,5 @@ def apply_channel(y: CplxNode, h: np.ndarray, sigma_sq: float,
     if sigma_sq > 0.0:
         if rng is None:
             raise ValueError("apply_channel: rng required when sigma_sq > 0")
-        g = rng.standard_normal(y.shape + (2,))
-        w = np.sqrt(sigma_sq / 2.0) * (g[..., 0] + 1j * g[..., 1])
-        out = cplx.add(out, cplx.const(w))
+        out = cplx.add(out, cplx.const(awgn(rng, y.shape, sigma_sq)))
     return out

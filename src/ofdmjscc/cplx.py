@@ -43,10 +43,6 @@ def const(z) -> CplxNode:
     return CplxNode(ad.constant(z.real), ad.constant(z.imag))
 
 
-def from_value(z) -> CplxNode:
-    return const(z)
-
-
 def add(a: CplxNode, b: CplxNode) -> CplxNode:
     return CplxNode(ad.add(a.re, b.re), ad.add(a.im, b.im))
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import cplx
 from .autodiff import GradCheckReport, Node, finite_diff_check
-from .channel import apply_channel, sample_channel, snr_to_sigma_sq
+from .channel import apply_channel, awgn, sample_channel, snr_to_sigma_sq
 from .model import ModelConfig, build_model
 from .nn import BatchNorm
 from .ofdm import OfdmConfig, assemble_packet, disassemble_packet, dft, idft, \
@@ -313,10 +313,7 @@ def check_model_params(variant: str = "explicit", step: float = CHAIN_STEP,
     x = r.uniform(0.1, 0.9, (2, 8, 8, 1))
     taps = sample_channel(r, 3, 2.0, batch=2)
     sigma_sq = snr_to_sigma_sq(10.0)
-    t_rx = model.cfg.ofdm.n_s * model.cfg.ofdm.l_fft if variant == "direct" \
-        else model.cfg.ofdm.packet_len
-    g = r.standard_normal((2, t_rx, 2))
-    noise = np.sqrt(sigma_sq / 2.0) * (g[..., 0] + 1j * g[..., 1])
+    noise = awgn(r, (2, model.rx_len), sigma_sq)
 
     def loss_value() -> float:
         recon, _ = model.forward(x, taps, sigma_sq, clip_ratio=1.3, train=True,

@@ -24,16 +24,61 @@ def psnr(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> float:
     return float(min(PSNR_CAP_DB, 10.0 * np.log10(data_range ** 2 / mse)))
 
 
-def _gaussian_kernel(size: int = _SSIM_WIN, sigma: float = _SSIM_SIGMA) -> np.ndarray:
+def _gaussian_window(size: int = _SSIM_WIN, sigma: float = _SSIM_SIGMA) -> np.ndarray:
+    """1-D Gaussian weights summing to 1; the 2-D window is their outer product."""
     x = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
-def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(img, kernel.shape)
-    return np.tensordot(win, kernel, axes=([2, 3], [0, 1]))
+def _windowed_mean(img: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted mean of every full window of an (N, H, W) stack.
+
+    Separable, and summed tap by tap in a fixed order with elementwise ops
+    only, so a window's value does not depend on N. A BLAS matrix-vector
+    product does not promise that: its result for a row depends on how many
+    rows it is given.
+    """
+    g = _gaussian_window()
+    ho, wo = img.shape[1] - g.size + 1, img.shape[2] - g.size + 1
+    rows = sum(g[i] * img[:, i:i + ho, :] for i in range(g.size))
+    return sum(g[j] * rows[:, :, j:j + wo] for j in range(g.size))
+
+
+def ssim_batch(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> np.ndarray:
+    """SSIM of each pair in an (N, H, W, C) batch, shape (N,).
+
+    Row ``j`` equals ``ssim(ref[j], rec[j])`` bit for bit: every reduction
+    runs along one image's own contiguous values.
+    """
+    ref = np.asarray(ref, dtype=np.float64)
+    rec = np.asarray(rec, dtype=np.float64)
+    if ref.shape != rec.shape:
+        raise ValueError(f"ssim: shape mismatch {ref.shape} vs {rec.shape}")
+    if ref.ndim != 4:
+        raise ValueError(f"ssim_batch: expected (N, H, W, C), got {ref.shape}")
+
+    c1 = (_SSIM_K1 * data_range) ** 2
+    c2 = (_SSIM_K2 * data_range) ** 2
+    n, h, w, nc = ref.shape
+    vals = np.empty((n, nc))
+    for c in range(nc):
+        x = np.ascontiguousarray(ref[..., c])
+        y = np.ascontiguousarray(rec[..., c])
+        if h < _SSIM_WIN or w < _SSIM_WIN:
+            x, y = x.reshape(n, -1), y.reshape(n, -1)
+            mx, my = x.mean(axis=1), y.mean(axis=1)
+            vx, vy = x.var(axis=1), y.var(axis=1)
+            vxy = ((x - mx[:, None]) * (y - my[:, None])).mean(axis=1)
+        else:
+            mx, my = _windowed_mean(x), _windowed_mean(y)
+            vx = _windowed_mean(x * x) - mx * mx
+            vy = _windowed_mean(y * y) - my * my
+            vxy = _windowed_mean(x * y) - mx * my
+        num = (2 * mx * my + c1) * (2 * vxy + c2)
+        den = (mx * mx + my * my + c1) * (vx + vy + c2)
+        vals[:, c] = (num / den).reshape(n, -1).mean(axis=1)
+    return vals.mean(axis=1)
 
 
 def ssim(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> float:
@@ -44,34 +89,12 @@ def ssim(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> float:
     """
     ref = np.asarray(ref, dtype=np.float64)
     rec = np.asarray(rec, dtype=np.float64)
-    if ref.shape != rec.shape:
-        raise ValueError(f"ssim: shape mismatch {ref.shape} vs {rec.shape}")
     if ref.ndim == 2:
         ref = ref[:, :, None]
         rec = rec[:, :, None]
     if ref.ndim != 3:
         raise ValueError(f"ssim: expected (H, W) or (H, W, C), got {ref.shape}")
-
-    c1 = (_SSIM_K1 * data_range) ** 2
-    c2 = (_SSIM_K2 * data_range) ** 2
-    h, w, nc = ref.shape
-    vals = []
-    for c in range(nc):
-        x, y = ref[:, :, c], rec[:, :, c]
-        if h < _SSIM_WIN or w < _SSIM_WIN:
-            mx, my = x.mean(), y.mean()
-            vx, vy = x.var(), y.var()
-            vxy = ((x - mx) * (y - my)).mean()
-        else:
-            k = _gaussian_kernel()
-            mx, my = _windowed_mean(x, k), _windowed_mean(y, k)
-            vx = _windowed_mean(x * x, k) - mx * mx
-            vy = _windowed_mean(y * y, k) - my * my
-            vxy = _windowed_mean(x * y, k) - mx * my
-        num = (2 * mx * my + c1) * (2 * vxy + c2)
-        den = (mx * mx + my * my + c1) * (vx + vy + c2)
-        vals.append(np.mean(num / den))
-    return float(np.mean(vals))
+    return float(ssim_batch(ref[None], rec[None], data_range)[0])
 
 
 def papr_ccdf(papr_db_values: np.ndarray, thresholds_db: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from . import autodiff as ad
 from . import cplx
 from .autodiff import Node
 from .cplx import CplxNode
-from .channel import apply_channel
+from .channel import apply_channel, awgn
 from .nn import BatchNorm, Conv2d, Dense
 from .ofdm import OfdmConfig, TxPacket, assemble_packet, disassemble_packet, \
     make_pilots, normalize_power
@@ -236,7 +236,6 @@ def _flatten_cplx(z: CplxNode) -> list[Node]:
 
 
 def _stack_last(parts: list[Node]) -> Node:
-    b = parts[0].value.shape
     return ad.concat([ad.reshape(p, p.value.shape + (1,)) for p in parts], axis=-1)
 
 
@@ -295,6 +294,12 @@ class JsccModel:
             if isinstance(layer, BatchNorm):
                 layer.running_mean = np.array(bmap[f"{layer.name}.running_mean"])
                 layer.running_var = np.array(bmap[f"{layer.name}.running_var"])
+
+    @property
+    def rx_len(self) -> int:
+        """Received samples per image: the trailing shape of ``forward``'s noise."""
+        o = self.cfg.ofdm
+        return o.n_s * o.l_fft if self.cfg.variant == "direct" else o.packet_len
 
     # -- forward -----------------------------------------------------------
 
@@ -369,8 +374,7 @@ class JsccModel:
             if noise is None:
                 if rng is None:
                     raise ValueError("forward: rng or noise required when sigma_sq > 0")
-                g = rng.standard_normal(rx.shape + (2,))
-                noise = np.sqrt(sigma_sq / 2.0) * (g[..., 0] + 1j * g[..., 1])
+                noise = awgn(rng, rx.shape, sigma_sq)
             rx = cplx.add(rx, cplx.const(noise))
 
         if self.cfg.variant == "direct":

@@ -9,9 +9,9 @@ split, ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``:
                         draws, channel taps and noise, in that order
 * ``(3, i, r)``       — evaluation of image ``i``, realization ``r``
 
-Given the same seed and config, training is bitwise deterministic; evaluation
-additionally does not depend on batching or worker count because every
-(image, realization) pair owns its stream.
+Given the same seed and config, training is bitwise deterministic. Evaluation
+runs the (image, realization) pairs in chunks of the fixed ``EVAL_BATCH``, and
+every pair owns its stream, so its results do not depend on ``workers``.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .channel import sample_channel, snr_to_sigma_sq
-from .metrics import psnr, ssim
+from .channel import awgn, sample_channel, snr_to_sigma_sq
+from .metrics import psnr, ssim_batch
 from .model import JsccModel
 from .ofdm import papr_db
 
 DIVERGENCE_LOSS = 1e8
+EVAL_BATCH = 16   # (image, realization) pairs per evaluation forward pass
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -177,32 +178,24 @@ class EvalResult:
     per_image_psnr_db: np.ndarray
 
 
-def _eval_one_image(model, img, i, *, sigma_sq, clip_ratio, n_taps, gamma,
-                    realizations, seed):
-    """All realizations of one image as a single batch; returns per-r metrics."""
-    taps = np.empty((realizations, n_taps), dtype=np.complex128)
-    noises = None
-    for r in range(realizations):
+def _eval_chunk(model, images, pairs, *, sigma_sq, clip_ratio, n_taps, gamma, seed):
+    """One graph-free forward over a chunk of (image, realization) pairs;
+    returns per-pair PSNR, SSIM and PAPR."""
+    t_rx = model.rx_len
+    taps = np.empty((len(pairs), n_taps), dtype=np.complex128)
+    noise = np.empty((len(pairs), t_rx), dtype=np.complex128) if sigma_sq > 0.0 else None
+    for k, (i, r) in enumerate(pairs):
         rng = rng_stream(seed, 3, i, r)
-        taps[r] = sample_channel(rng, n_taps, gamma)
-        if sigma_sq > 0.0:
-            if model.cfg.variant == "direct":
-                t_rx = model.cfg.ofdm.n_s * model.cfg.ofdm.l_fft
-            else:
-                t_rx = model.cfg.ofdm.packet_len
-            g = rng.standard_normal((t_rx, 2))
-            w = np.sqrt(sigma_sq / 2.0) * (g[:, 0] + 1j * g[:, 1])
-            if noises is None:
-                noises = np.empty((realizations, t_rx), dtype=np.complex128)
-            noises[r] = w
-    batch = np.repeat(img[None], realizations, axis=0)
-    recon, pkt = model.forward(batch, taps, sigma_sq, clip_ratio,
-                               train=False, noise=noises)
+        taps[k] = sample_channel(rng, n_taps, gamma)
+        if noise is not None:
+            noise[k] = awgn(rng, (t_rx,), sigma_sq)
+    ref = images[[i for i, _ in pairs]]
+    with ad.no_grad():
+        recon, pkt = model.forward(ref, taps, sigma_sq, clip_ratio,
+                                   train=False, noise=noise)
     rec = recon.value
-    ps = np.array([psnr(img, rec[r]) for r in range(realizations)])
-    ss = np.array([ssim(img, rec[r]) for r in range(realizations)])
-    pp = np.atleast_1d(papr_db(pkt.tx.value))
-    return ps, ss, pp
+    ps = np.array([psnr(ref[k], rec[k]) for k in range(len(pairs))])
+    return ps, ssim_batch(ref, rec), np.atleast_1d(papr_db(pkt.tx.value))
 
 
 def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
@@ -210,27 +203,33 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
              realizations: int = 5, seed: int = 0, workers: int = 1) -> EvalResult:
     """Average PSNR/SSIM over ``realizations`` fresh channels per image.
 
-    Results are independent of ``workers``: each (image, realization) pair
-    draws from its own RNG stream and aggregation runs in index order.
+    The (image, realization) pairs run in index order, ``EVAL_BATCH`` to a
+    forward pass; ``workers > 1`` spreads the chunks over threads. Results are
+    independent of ``workers``: each pair draws from its own RNG stream, the
+    chunks do not depend on ``workers`` and aggregation runs in index order.
     """
     if realizations < 1:
         raise ValueError("evaluate: realizations must be >= 1")
+    if workers < 1:
+        raise ValueError(f"evaluate: workers must be >= 1, got {workers}")
     n = images.shape[0]
+    if n < 1:
+        raise ValueError("evaluate: empty image set")
     sigma_sq = snr_to_sigma_sq(snr_db)
-    kw = dict(sigma_sq=sigma_sq, clip_ratio=clip_ratio, n_taps=n_taps, gamma=gamma,
-              realizations=realizations, seed=seed)
-    results = [None] * n
+    pairs = [(i, r) for i in range(n) for r in range(realizations)]
+    chunks = [pairs[k:k + EVAL_BATCH] for k in range(0, len(pairs), EVAL_BATCH)]
+
+    def run(chunk):
+        return _eval_chunk(model, images, chunk, sigma_sq=sigma_sq, clip_ratio=clip_ratio,
+                           n_taps=n_taps, gamma=gamma, seed=seed)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_eval_one_image, model, images[i], i, **kw)
-                       for i in range(n)]
-            for i, fut in enumerate(futures):
-                results[i] = fut.result()
+            results = list(pool.map(run, chunks))
     else:
-        for i in range(n):
-            results[i] = _eval_one_image(model, images[i], i, **kw)
-    all_psnr = np.stack([r[0] for r in results])   # (n, R)
-    all_ssim = np.stack([r[1] for r in results])
+        results = [run(chunk) for chunk in chunks]
+    all_psnr = np.concatenate([r[0] for r in results]).reshape(n, realizations)
+    all_ssim = np.concatenate([r[1] for r in results]).reshape(n, realizations)
     all_papr = np.concatenate([r[2] for r in results])
     return EvalResult(
         psnr_db=float(all_psnr.mean()),

@@ -1,6 +1,8 @@
 """Engine-level tests: forward values, hand-derived gradients, graph ordering,
 finite-difference harness sensitivity, and the documented error paths."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,58 @@ def test_node_ids_strictly_increase(rng):
     b = ad.mul_const(a, 2.0)
     c = ad.add(a, b)
     assert a.nid < b.nid < c.nid
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+def test_no_grad_builds_no_graph(rng):
+    x = ad.leaf(rng.standard_normal((2, 3)))
+    w = ad.leaf(rng.standard_normal((3, 4)))
+    z = ad.mul(x, x)  # recorded outside: must stay differentiable
+    with ad.no_grad():
+        m = ad.matmul(x, w)
+        assert m.parents == (x, w) and m.vjp is None  # inputs readable while fresh
+        h = ad.relu(m)
+        y = ad.sum_all(ad.mul(h, h))
+        ad.relu(z)
+    assert m.parents == () and h.parents == ()  # unlinked once consumed
+    assert y.vjp is None and h.op == "relu"
+    assert np.array_equal(h.value, np.maximum(x.value @ w.value, 0.0))
+    assert ad.backward(y).keys() == {y}  # nothing upstream is reachable
+    assert z.parents == (x, x)
+    g = ad.backward(ad.sum_all(ad.mul(h, h)))  # h acts as a constant
+    assert np.array_equal(g[h], 2 * h.value)
+    assert x not in g and w not in g
+
+
+def test_no_grad_restored_after_exception_and_nested():
+    x = ad.leaf(np.ones(2))
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.add(x, x).vjp is None  # the inner exit keeps it off
+            raise RuntimeError("boom")
+    assert ad.add(x, x).vjp is not None
+
+
+def test_no_grad_is_per_thread():
+    x = ad.leaf(np.ones(2))
+    inside, outside = threading.Event(), threading.Event()
+    seen = {}
+
+    def other():
+        inside.wait(timeout=10)
+        seen["vjp"] = ad.add(x, x).vjp
+        outside.set()
+
+    t = threading.Thread(target=other)
+    t.start()
+    with ad.no_grad():
+        inside.set()
+        assert outside.wait(timeout=10)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert seen["vjp"] is not None

@@ -8,7 +8,7 @@ import numpy as np
 
 import ofdmjscc.autodiff as ad
 from ofdmjscc import cplx
-from ofdmjscc.channel import (apply_channel, freq_response, power_profile,
+from ofdmjscc.channel import (apply_channel, awgn, freq_response, power_profile,
                               sample_channel, snr_to_sigma_sq)
 from ofdmjscc.ofdm import assemble_packet, disassemble_packet, make_pilots
 
@@ -138,3 +138,14 @@ def test_channel_longer_than_prefix_breaks_diagonalization():
     h_k = freq_response(h, cfg.l_fft)
     err = np.abs(data_rx.value - h_k[:, None, :] * sent_data.value).max()
     assert err > 1e-3
+
+
+def test_awgn_draw_order_and_scale():
+    # one standard-normal block of shape + (2,): real parts then imaginary
+    # parts, each scaled by sqrt(sigma_sq / 2)
+    sigma_sq = 0.3
+    w = awgn(np.random.default_rng(4), (3, 5), sigma_sq)
+    g = np.random.default_rng(4).standard_normal((3, 5, 2))
+    assert w.shape == (3, 5) and w.dtype == np.complex128
+    assert np.array_equal(w.real, math.sqrt(sigma_sq / 2.0) * g[..., 0])
+    assert np.array_equal(w.imag, math.sqrt(sigma_sq / 2.0) * g[..., 1])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdmjscc.metrics import PSNR_CAP_DB, papr_ccdf, psnr, ssim
+from ofdmjscc.metrics import PSNR_CAP_DB, papr_ccdf, psnr, ssim, ssim_batch
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,19 @@ def test_ssim_small_image_fallback(rng):
     b = np.clip(a + 0.2 * rng.standard_normal((6, 6)), 0, 1)
     v = ssim(a, b)
     assert -1.0 <= v < 1.0
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 1), (21, 13, 3), (6, 6, 1), (9, 12, 3)])
+def test_ssim_batch_rows_equal_single_calls(rng, shape):
+    # windowed (>= 11 px) and global-statistics fallback, 1 and 3 channels;
+    # 21x13 gives 33 windows per image, which a BLAS product would block
+    # differently at different batch sizes
+    a = rng.random((7,) + shape)
+    b = np.clip(a + 0.1 * rng.standard_normal(a.shape), 0, 1)
+    got = ssim_batch(a, b)
+    assert got.shape == (7,)
+    assert np.array_equal(got, [ssim(a[j], b[j]) for j in range(7)])
+    assert np.array_equal(ssim_batch(a[2:5], b[2:5]), got[2:5])
 
 
 def test_ssim_shape_mismatch():

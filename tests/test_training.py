@@ -8,7 +8,9 @@ import pytest
 
 import ofdmjscc.autodiff as ad
 import ofdmjscc.training as training
+from ofdmjscc.channel import sample_channel, snr_to_sigma_sq
 from ofdmjscc.data import load_checkpoint, save_checkpoint
+from ofdmjscc.metrics import psnr
 from ofdmjscc.model import build_model
 from ofdmjscc.training import (Adam, TrainConfig, evaluate, lr_at, mse_loss,
                                rng_stream, train)
@@ -66,6 +68,15 @@ def test_adam_missing_gradient_is_an_error(rng):
     opt = Adam([("a", a), ("b", b)])
     with pytest.raises(KeyError, match="b"):
         opt.step({a: np.ones(2)}, lr=0.1)
+
+
+def test_adam_gets_no_gradient_through_no_grad(rng):
+    # a loss recorded under no_grad reaches no parameter
+    w = ad.leaf(rng.standard_normal(3), op="param")
+    with ad.no_grad():
+        loss = mse_loss(ad.mul(w, w), np.zeros(3))
+    with pytest.raises(KeyError, match="w"):
+        Adam([("w", w)]).step(ad.backward(loss), lr=0.1)
 
 
 def test_adam_rejects_nonfinite_gradients():
@@ -198,17 +209,42 @@ def test_train_empty_dataset_rejected():
 # ---------------------------------------------------------------------------
 
 def test_evaluate_is_worker_invariant():
+    # 36 pairs: three chunks of EVAL_BATCH pairs, the last one partial
+    assert training.EVAL_BATCH == 16
     model = build_model(tiny_model_cfg("explicit"), seed=2)
-    imgs = _toy_images(4)
-    serial = evaluate(model, imgs, snr_db=10.0, n_taps=3, realizations=2,
+    imgs = _toy_images(12)
+    serial = evaluate(model, imgs, snr_db=10.0, n_taps=3, realizations=3,
                       seed=5, workers=1)
-    threaded = evaluate(model, imgs, snr_db=10.0, n_taps=3, realizations=2,
+    threaded = evaluate(model, imgs, snr_db=10.0, n_taps=3, realizations=3,
                         seed=5, workers=3)
     assert serial.psnr_db == threaded.psnr_db  # bitwise, not approx
     assert serial.ssim == threaded.ssim
+    assert serial.papr_p99_db == threaded.papr_p99_db
     assert np.array_equal(serial.per_image_psnr_db, threaded.per_image_psnr_db)
-    assert serial.channel_draws == 8
-    assert serial.per_image_psnr_db.shape == (4,)
+    assert serial.channel_draws == 36
+    assert serial.per_image_psnr_db.shape == (12,)
+
+
+@pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
+def test_evaluate_matches_single_pair_forwards(variant):
+    # reference: one batch-1 forward per (image, realization) pair, drawing
+    # taps then noise from the pair's own stream (seed, 3, i, r)
+    model = build_model(tiny_model_cfg(variant), seed=2)
+    imgs = _toy_images(7)
+    n_taps, gamma, realizations, seed = 3, 4.0, 3, 5
+    sigma_sq = snr_to_sigma_sq(10.0)
+    res = evaluate(model, imgs, snr_db=10.0, clip_ratio=1.2, n_taps=n_taps,
+                   gamma=gamma, realizations=realizations, seed=seed)
+    ref = np.empty((len(imgs), realizations))
+    for i, img in enumerate(imgs):
+        for r in range(realizations):
+            rng = rng_stream(seed, 3, i, r)
+            taps = sample_channel(rng, n_taps, gamma)[None]
+            g = rng.standard_normal((1, model.rx_len, 2))
+            noise = np.sqrt(sigma_sq / 2.0) * (g[..., 0] + 1j * g[..., 1])
+            recon, _ = model.forward(img[None], taps, sigma_sq, 1.2, noise=noise)
+            ref[i, r] = psnr(img, recon.value[0])
+    np.testing.assert_allclose(res.per_image_psnr_db, ref.mean(axis=1), rtol=1e-12)
 
 
 def test_evaluate_reports_clipping_effects():
@@ -222,8 +258,12 @@ def test_evaluate_reports_clipping_effects():
 
 def test_evaluate_rejects_bad_realizations():
     model = build_model(tiny_model_cfg("direct"), seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="realizations"):
         evaluate(model, _toy_images(1), snr_db=10.0, realizations=0)
+    with pytest.raises(ValueError, match="empty image set"):
+        evaluate(model, _toy_images(0), snr_db=10.0)
+    with pytest.raises(ValueError, match="workers"):
+        evaluate(model, _toy_images(1), snr_db=10.0, workers=0)
 
 
 # ---------------------------------------------------------------------------
