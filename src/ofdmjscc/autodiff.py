@@ -428,8 +428,51 @@ def fir(y: Node, taps: np.ndarray) -> Node:
     return record("fir", (y,), fwd, bwd)
 
 
+def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, top: int, left: int,
+            hb: int, wb: int) -> np.ndarray:
+    """Windows of ``a`` (B, H, W, C) as rows of a (B*ho*wo, kh*kw*C) matrix.
+
+    ``a`` sits in a zero buffer of (hb, wb) with its element (0, 0) at buffer
+    position (top, left); either may be negative, and what falls outside the
+    buffer is cut. The kh×kw windows run over the buffer at ``stride``.
+    """
+    B, H, W, C = a.shape
+    if (top, left, hb, wb) == (0, 0, H, W):
+        buf = a
+    else:
+        buf = np.zeros((B, hb, wb, C))
+        y0, y1 = max(top, 0), min(top + H, hb)
+        x0, x1 = max(left, 0), min(left + W, wb)
+        if y0 < y1 and x0 < x1:
+            buf[:, y0:y1, x0:x1] = a[:, y0 - top:y1 - top, x0 - left:x1 - left]
+    win = np.lib.stride_tricks.sliding_window_view(buf, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * C)
+
+
+def _phase(r: int, k: int, s: int, p: int, n: int) -> tuple[int, int, int, int]:
+    """One axis of stride phase ``r`` of a conv2d input gradient.
+
+    Padded input positions ``q*s + r`` take taps ``r, r+s, ...`` (``t`` of
+    them) from output positions ``q, q-1, ...``. Returns ``(t, y0, m, top)``:
+    the phase's rows inside the unpadded input are ``y0, y0+s, ...`` (``m``
+    of them), and in a window view over the output gradient their windows
+    start at output row ``-top``.
+    """
+    t = len(range(r, k, s))
+    q0 = -((r - p) // s)                 # first q with q*s + r >= p
+    y0 = q0 * s + r - p
+    m = len(range(y0, n, s))
+    return t, y0, m, t - 1 - q0
+
+
 def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> Node:
-    """2-D convolution. x: (B, H, W, Cin), w: (kh, kw, Cin, Cout)."""
+    """2-D convolution. x: (B, H, W, Cin), w: (kh, kw, Cin, Cout).
+
+    The input gradient is a transposed convolution split by stride phase: each
+    phase (ry, rx) of the input is one GEMM of a window view over the output
+    gradient with the flipped sub-kernel ``w[ry::s, rx::s]``.
+    """
     if x.value.ndim != 4 or w.value.ndim != 4:
         raise ValueError(f"conv2d: need x(B,H,W,C), w(kh,kw,Cin,Cout); got {x.shape}, {w.shape}")
     B, H, W, Cin = x.value.shape
@@ -443,24 +486,25 @@ def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> 
     if Ho < 1 or Wo < 1:
         raise ValueError("conv2d: output would be empty")
 
-    xp = np.pad(x.value, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = win[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3).reshape(B * Ho * Wo, kh * kw * Cin)
+    cols = _im2col(x.value, kh, kw, s, ph, pw, H + 2 * ph, W + 2 * pw)
     wmat = w.value.reshape(kh * kw * Cin, Cout)
 
     def fwd(xv, wv):
         return (cols @ wmat).reshape(B, Ho, Wo, Cout)
 
     def bwd(g):
-        g2 = g.reshape(B * Ho * Wo, Cout)
-        gw = (cols.T @ g2).reshape(kh, kw, Cin, Cout)
-        gcols = (g2 @ wmat.T).reshape(B, Ho, Wo, kh, kw, Cin)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i:i + s * Ho:s, j:j + s * Wo:s, :] += gcols[:, :, :, i, j, :]
-        gx = gxp[:, ph:ph + H, pw:pw + W, :]
-        return np.ascontiguousarray(gx), gw
+        gw = (cols.T @ g.reshape(B * Ho * Wo, Cout)).reshape(kh, kw, Cin, Cout)
+        gx = np.zeros((B, H, W, Cin))
+        for ry in range(s):
+            ty, y0, my, top = _phase(ry, kh, s, ph, H)
+            for rx in range(s):
+                tx, x0, mx, left = _phase(rx, kw, s, pw, W)
+                if ty == 0 or tx == 0 or my == 0 or mx == 0:
+                    continue       # no tap reaches these rows: gradient 0
+                gcols = _im2col(g, ty, tx, 1, top, left, my + ty - 1, mx + tx - 1)
+                sub = w.value[ry::s, rx::s][::-1, ::-1].transpose(0, 1, 3, 2)
+                gx[:, y0::s, x0::s] = (gcols @ sub.reshape(-1, Cin)).reshape(B, my, mx, Cin)
+        return gx, gw
 
     return record("conv2d", (x, w), fwd, bwd)
 

@@ -215,13 +215,30 @@ def _split_blob(blob: bytes, shapes: list[tuple[int, ...]], what: str) -> list[n
     return out
 
 
+_META_KEYS = ("arch", "train_config", "rng_state", "params", "buffers", "opt")
+
+
+def _entries(meta: dict, key: str) -> tuple[list[str], list[tuple[int, ...]]]:
+    """Names and shapes of the ``params`` or ``buffers`` metadata entries."""
+    entries = meta[key]
+    if not isinstance(entries, list):
+        raise CheckpointError(f"metadata {key} is not a list")
+    names, shapes = [], []
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict) or "name" not in e or "shape" not in e:
+            raise CheckpointError(f"metadata {key}[{i}] lacks name or shape")
+        names.append(e["name"])
+        shapes.append(tuple(e["shape"]))
+    return names, shapes
+
+
 def load_checkpoint(path) -> dict:
     """Inverse of :func:`save_checkpoint`.
 
     Returns ``{"arch", "train_config", "rng_state", "params", "opt_state"}``
     where ``params`` is a list of (name, array). Raises
-    :class:`CheckpointError` on bad magic/version, truncation or blob/shape
-    mismatches.
+    :class:`CheckpointError` on bad magic/version, truncation, metadata
+    missing a section or an entry's name/shape, or blob/shape mismatches.
     """
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
@@ -235,21 +252,26 @@ def load_checkpoint(path) -> dict:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         try:
             meta = json.loads(_read_section(f).decode())
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"corrupt metadata: {e}") from None
         blob = _read_section(f)
         buf_blob = _read_section(f)
         m_blob = _read_section(f)
         v_blob = _read_section(f)
 
-    shapes = [tuple(p["shape"]) for p in meta["params"]]
-    names = [p["name"] for p in meta["params"]]
+    if not isinstance(meta, dict):
+        raise CheckpointError("corrupt metadata: not a JSON object")
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise CheckpointError(f"metadata lacks {', '.join(missing)}")
+    names, shapes = _entries(meta, "params")
     values = _split_blob(blob, shapes, "parameter")
-    buf_shapes = [tuple(p["shape"]) for p in meta["buffers"]]
-    buf_names = [p["name"] for p in meta["buffers"]]
+    buf_names, buf_shapes = _entries(meta, "buffers")
     buf_values = _split_blob(buf_blob, buf_shapes, "buffer")
     opt_state = None
     if meta["opt"] is not None:
+        if not isinstance(meta["opt"], dict) or "step" not in meta["opt"]:
+            raise CheckpointError("metadata opt lacks step")
         opt_state = {
             "step": int(meta["opt"]["step"]),
             "m": _split_blob(m_blob, shapes, "optimizer m"),

@@ -31,6 +31,7 @@ from .ofdm import papr_db
 
 DIVERGENCE_LOSS = 1e8
 EVAL_BATCH = 16   # (image, realization) pairs per evaluation forward pass
+ADAM_BLOCK = 32768  # elements per block of the Adam update (fits in L2 with its operands)
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -48,7 +49,14 @@ def mse_loss(pred: Node, target: np.ndarray) -> Node:
 
 
 class Adam:
-    """ADAM with (beta1, beta2) = (0.5, 0.999) defaults and eps outside the root."""
+    """ADAM with (beta1, beta2) = (0.5, 0.999) defaults and eps outside the root.
+
+    ``step`` updates the moments in place and computes each parameter's new
+    value in blocks of ``ADAM_BLOCK`` elements through two scratch buffers,
+    so the temporaries of one block stay in cache. Every element goes through
+    the same expressions in the same order as the unblocked update, so the
+    result does not depend on the block size.
+    """
 
     def __init__(self, params: list[tuple[str, Node]], beta1: float = 0.5,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -57,10 +65,11 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros(p.value.shape) for _, p in self.params]
         self.v = [np.zeros(p.value.shape) for _, p in self.params]
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def step(self, grads: dict[Node, np.ndarray], lr: float) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = self.beta1, self.beta2, self.eps
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
         for i, (name, node) in enumerate(self.params):
@@ -70,21 +79,51 @@ class Adam:
             g = grads[node]
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"Adam: non-finite gradient for {name}")
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
-            update = lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
-            ad.assign(node, node.value - update)
+            if g.shape != node.value.shape:
+                raise ValueError(f"Adam: gradient for {name} has shape {g.shape}, "
+                                 f"parameter has {node.value.shape}")
+            g, m, v = g.reshape(-1), self.m[i].reshape(-1), self.v[i].reshape(-1)
+            p = node.value.reshape(-1)
+            new = np.empty(p.shape)
+            for lo in range(0, p.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, p.size)
+                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = (t[:hi - lo] for t in self._scratch)
+                # m = b1 * m + (1 - b1) * g
+                np.multiply(mb, b1, out=mb)
+                np.add(mb, np.multiply(gb, 1 - b1, out=a), out=mb)
+                # v = b2 * v + (1 - b2) * (g * g)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(np.multiply(gb, gb, out=a), 1 - b2, out=a)
+                np.add(vb, a, out=vb)
+                # new = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.multiply(np.divide(mb, c1, out=a), lr, out=a)
+                np.add(np.sqrt(np.divide(vb, c2, out=b), out=b), eps, out=b)
+                np.subtract(p[lo:hi], np.divide(a, b, out=a), out=new[lo:hi])
+                if not np.all(np.isfinite(new[lo:hi])):
+                    raise FloatingPointError(f"Adam: non-finite value for {name}")
+            new = new.reshape(node.value.shape)
+            new.setflags(write=False)
+            node.value = new     # a fresh array nothing else holds: no copy
 
     def state(self) -> dict:
         return {"step": self.step_count, "m": [m.copy() for m in self.m],
                 "v": [v.copy() for v in self.v]}
 
     def load_state(self, state: dict) -> None:
-        if len(state["m"]) != len(self.params):
+        if len(state["m"]) != len(self.params) or len(state["v"]) != len(self.params):
             raise ValueError("Adam.load_state: parameter count mismatch")
+        m, v = [], []
+        for (name, node), mi, vi in zip(self.params, state["m"], state["v"]):
+            for what, arr, out in (("m", mi, m), ("v", vi, v)):
+                # step writes into the moments: own writable C-contiguous copies
+                arr = np.array(arr, dtype=np.float64, order="C", copy=True)
+                if arr.shape != node.value.shape:
+                    raise ValueError(f"Adam.load_state: {what} for {name} has shape "
+                                     f"{arr.shape}, parameter has {node.value.shape}")
+                out.append(arr)
         self.step_count = int(state["step"])
-        self.m = [np.array(m) for m in state["m"]]
-        self.v = [np.array(v) for v in state["v"]]
+        self.m, self.v = m, v
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
 
@@ -51,6 +53,65 @@ def test_conv2d_forward_against_loops(rng):
                 for co in range(4):
                     ref[n, i, j, co] = np.sum(patch * w[..., co])
     assert np.allclose(out, ref, atol=1e-12)
+
+
+def _conv2d_grads_by_loops(x, w, g, stride, pad):
+    # oracle: every output position scatters g into the taps it read
+    B, H, W, _ = x.shape
+    kh, kw = w.shape[:2]
+    ph, pw = pad
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for oy in range(g.shape[1]):
+        for ox in range(g.shape[2]):
+            for i in range(kh):
+                for j in range(kw):
+                    y, x_ = oy * stride + i, ox * stride + j
+                    gxp[:, y, x_] += g[:, oy, ox] @ w[i, j].T
+                    gw[i, j] += xp[:, y, x_].T @ g[:, oy, ox]
+    return gxp[:, ph:ph + H, pw:pw + W], gw
+
+
+@st.composite
+def _conv2d_geometry(draw):
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    ph, pw = draw(st.integers(0, kh)), draw(st.integers(0, kw))
+    h = draw(st.integers(max(1, kh - 2 * ph), kh + 2 * stride + 2))
+    w = draw(st.integers(max(1, kw - 2 * pw), kw + 2 * stride + 2))
+    return (kh, kw), stride, (ph, pw), (h, w), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_conv2d_geometry())
+@example(((1, 3), 1, (0, 1), (1, 9), 0))      # the subnet's kernel along the subcarriers
+@example(((1, 1), 1, (0, 0), (3, 4), 1))
+@example(((1, 1), 3, (0, 0), (7, 8), 2))      # stride > kernel: phases with no taps
+@example(((2, 3), 3, (1, 0), (6, 7), 3))
+@example(((3, 3), 2, (1, 1), (8, 8), 4))      # enc.conv1's geometry
+@example(((3, 2), 2, (0, 2), (6, 5), 5))      # H + 2p - k not divisible by the stride
+def test_conv2d_gradients_against_loops(geometry):
+    (kh, kw), stride, pad, (h, w_), seed = geometry
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, h, w_, 3))
+    w = rng.standard_normal((kh, kw, 3, 2))
+    out = ad.conv2d(ad.leaf(x), ad.leaf(w), stride=stride, pad=pad)
+    g = rng.standard_normal(out.shape)
+    gx, gw = out.vjp(g)
+    ref_gx, ref_gw = _conv2d_grads_by_loops(x, w, g, stride, pad)
+    assert gx.shape == x.shape and gw.shape == w.shape
+    np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-12)
+    # input rows and columns that no window reads get exactly no gradient
+    Ho, Wo = out.shape[1:3]
+    read_y = np.zeros(h + 2 * pad[0], bool)
+    read_x = np.zeros(w_ + 2 * pad[1], bool)
+    for o in range(Ho):
+        read_y[o * stride:o * stride + kh] = True
+    for o in range(Wo):
+        read_x[o * stride:o * stride + kw] = True
+    unread = ~(read_y[pad[0]:pad[0] + h, None] & read_x[None, pad[1]:pad[1] + w_])
+    assert np.all(gx[:, unread] == 0.0)
 
 
 def test_upsample2x_forward(rng):

@@ -114,6 +114,18 @@ def _tiny_ckpt(path, rng):
     return params, buffers, opt
 
 
+def _rewrite_meta(path, edit):
+    # replace the JSON metadata section (after 5-byte magic and 4-byte version)
+    raw = bytearray(path.read_bytes())
+    meta_len = struct.unpack_from("<Q", raw, 9)[0]
+    meta = json.loads(bytes(raw[17:17 + meta_len]))
+    edit(meta)
+    new_meta = json.dumps(meta, sort_keys=True).encode()
+    struct.pack_into("<Q", raw, 9, len(new_meta))
+    raw[17:17 + meta_len] = new_meta
+    path.write_bytes(bytes(raw))
+
+
 def test_checkpoint_round_trip_bitwise(tmp_path, rng):
     path = tmp_path / "m.jscc"
     params, buffers, opt = _tiny_ckpt(path, rng)
@@ -168,13 +180,21 @@ def test_checkpoint_blob_shape_mismatch(tmp_path, rng):
     path = tmp_path / "m.jscc"
     save_checkpoint(path, arch={}, params=[("w", rng.standard_normal(4))],
                     train_config={})
-    raw = bytearray(path.read_bytes())
-    meta_len = struct.unpack_from("<Q", raw, 9)[0]
-    meta = json.loads(bytes(raw[17:17 + meta_len]))
-    meta["params"][0]["shape"] = [5]
-    new_meta = json.dumps(meta, sort_keys=True).encode()
-    struct.pack_into("<Q", raw, 9, len(new_meta))
-    raw[17:17 + meta_len] = new_meta
-    path.write_bytes(bytes(raw))
+    _rewrite_meta(path, lambda meta: meta["params"][0].update(shape=[5]))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda meta: meta.pop("buffers"), "lacks buffers"),
+    (lambda meta: meta.pop("rng_state"), "lacks rng_state"),
+    (lambda meta: meta["params"][1].pop("name"), r"params\[1\] lacks name"),
+    (lambda meta: meta["buffers"][0].pop("shape"), r"buffers\[0\] lacks name or shape"),
+    (lambda meta: meta["opt"].pop("step"), "opt lacks step"),
+])
+def test_checkpoint_incomplete_metadata(tmp_path, rng, edit, match):
+    path = tmp_path / "m.jscc"
+    _tiny_ckpt(path, rng)
+    _rewrite_meta(path, edit)
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)

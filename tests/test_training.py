@@ -86,6 +86,73 @@ def test_adam_rejects_nonfinite_gradients():
         opt.step({node: np.array([1.0, np.inf])}, lr=0.1)
 
 
+def _unblocked_adam_step(p, g, m, v, t, lr, b1=0.5, b2=0.999, eps=1e-8):
+    # the whole-array expressions, in the order Adam.step evaluates per block
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * (g * g)
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    return p - lr * (m / c1) / (np.sqrt(v / c2) + eps), m, v
+
+
+@pytest.mark.parametrize("shape", [(3, training.ADAM_BLOCK + 41), (1,)])
+def test_adam_blocked_update_is_bitwise_unblocked(rng, shape):
+    # (3, BLOCK + 41) spans three full blocks plus a ragged tail of 123
+    p0 = rng.standard_normal(shape)
+    node = ad.leaf(p0, op="param")
+    opt = Adam([("p", node)])
+    p_ref, m_ref, v_ref = p0, np.zeros(shape), np.zeros(shape)
+    for t in range(1, 4):
+        g = rng.standard_normal(shape) * 10.0 ** (t - 2)
+        opt.step({node: g}, lr=1e-3)
+        p_ref, m_ref, v_ref = _unblocked_adam_step(p_ref, g, m_ref, v_ref, t, 1e-3)
+        assert node.value.tobytes() == p_ref.tobytes(), f"step {t}"
+        assert opt.m[0].tobytes() == m_ref.tobytes()
+        assert opt.v[0].tobytes() == v_ref.tobytes()
+    assert node.value.shape == shape and not node.value.flags.writeable
+
+
+def test_adam_nonfinite_gradient_leaves_that_tensor_untouched(rng):
+    a = ad.leaf(rng.standard_normal(4), op="param")
+    b = ad.leaf(rng.standard_normal((2, 3)), op="param")
+    opt = Adam([("a", a), ("b", b)])
+    opt.step({a: rng.standard_normal(4), b: rng.standard_normal((2, 3))}, lr=0.1)
+    b_value, b_m, b_v = b.value, opt.m[1].copy(), opt.v[1].copy()
+    bad = rng.standard_normal((2, 3))
+    bad[1, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="b"):
+        opt.step({a: rng.standard_normal(4), b: bad}, lr=0.1)
+    assert b.value is b_value
+    assert np.array_equal(opt.m[1], b_m) and np.array_equal(opt.v[1], b_v)
+
+
+def test_adam_rejects_gradient_of_wrong_shape():
+    node = ad.leaf(np.ones((2, 3)), op="param")
+    with pytest.raises(ValueError, match="gradient for p has shape"):
+        Adam([("p", node)]).step({node: np.ones(6)}, lr=0.1)
+
+
+def test_adam_load_state_checks_shapes_and_copies(rng):
+    a = ad.leaf(rng.standard_normal((2, 3)), op="param")
+    b = ad.leaf(rng.standard_normal(4), op="param")
+    opt = Adam([("a", a), ("b", b)])
+    m_a = np.asfortranarray(rng.standard_normal((2, 3)))
+    m_a.setflags(write=False)
+    state = {"step": 2, "m": [m_a, np.zeros(4, np.float32)], "v": [np.ones((2, 3)), np.ones(4)]}
+    opt.load_state(state)
+    for arr in opt.m + opt.v:
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable
+    assert np.array_equal(opt.m[0], m_a) and not np.shares_memory(opt.v[1], state["v"][1])
+    opt.step({a: np.ones((2, 3)), b: np.ones(4)}, lr=0.1)   # writes into the copies
+    assert np.array_equal(state["v"][1], np.ones(4))
+    bad = {"step": 2, "m": [np.zeros((2, 3)), np.zeros(4)],
+           "v": [np.zeros((2, 3)), np.zeros(5)]}
+    with pytest.raises(ValueError, match="v for b"):
+        opt.load_state(bad)
+    with pytest.raises(ValueError, match="m for a"):
+        opt.load_state({"step": 0, "m": [np.zeros(6), np.zeros(4)], "v": bad["v"]})
+    assert opt.step_count == 3     # a rejected state changes nothing
+
+
 def test_adam_state_round_trip(rng):
     node = ad.leaf(rng.standard_normal(3), op="param")
     opt = Adam([("p", node)])
