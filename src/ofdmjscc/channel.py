@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from . import cplx
-from .autodiff import Node
 from .cplx import CplxNode
 
 
@@ -52,7 +50,7 @@ def awgn(rng: np.random.Generator, shape: tuple, sigma_sq: float) -> np.ndarray:
     supplies the real/imaginary parts, scaled by sqrt(sigma_sq / 2).
     """
     g = rng.standard_normal(tuple(shape) + (2,))
-    return np.sqrt(sigma_sq / 2.0) * (g[..., 0] + 1j * g[..., 1])
+    return (np.sqrt(sigma_sq / 2.0) * g).view(np.complex128)[..., 0]
 
 
 def snr_to_sigma_sq(snr_db: float, p_s: float = 1.0) -> float:
@@ -76,7 +74,7 @@ def apply_channel(y: CplxNode, h: np.ndarray, sigma_sq: float,
     CN(0, sigma_sq) per sample, drawn by :func:`awgn`;
     ``sigma_sq = 0`` (noiseless) needs no generator.
     """
-    if y.re.value.ndim != 2:
+    if y.ndim != 2:
         raise ValueError(f"apply_channel: y must be (B, T), got {y.shape}")
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim == 1:
@@ -85,13 +83,7 @@ def apply_channel(y: CplxNode, h: np.ndarray, sigma_sq: float,
         raise ValueError(f"apply_channel: taps {h.shape} do not match batch {y.shape}")
     if sigma_sq < 0:
         raise ValueError(f"apply_channel: sigma_sq must be >= 0, got {sigma_sq}")
-
-    hr = np.ascontiguousarray(h.real)
-    hi = np.ascontiguousarray(h.imag)
-    out_re = ad.sub(ad.fir(y.re, hr), ad.fir(y.im, hi))
-    out_im = ad.add(ad.fir(y.re, hi), ad.fir(y.im, hr))
-    out = CplxNode(out_re, out_im)
-
+    out = cplx.fir(y, h)
     if sigma_sq > 0.0:
         if rng is None:
             raise ValueError("apply_channel: rng required when sigma_sq > 0")

@@ -16,14 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import autodiff as ad
 from . import cplx, gradcheck
 from .channel import apply_channel, freq_response, sample_channel, snr_to_sigma_sq
-from .config import ExperimentConfig, format_config, load_config
+from .config import format_config, load_config
 from .data import load_checkpoint, save_checkpoint, synth_dataset
 from .model import ModelConfig, build_model
-from .ofdm import OfdmConfig, assemble_packet, dft_matrix, disassemble_packet, \
-    make_pilots, papr_db
+from .ofdm import assemble_packet, disassemble_packet, make_pilots, papr_db
 from .receiver import equalize_mmse, estimate_channel_mmse
 from .training import evaluate, rng_stream, train
 
@@ -124,6 +122,11 @@ def cmd_eval(args) -> int:
         else [float(tc["clip_ratio"])]
     taps_list = _int_list(args.taps) if args.taps else [int(tc["n_taps"])]
     realizations = args.realizations or int(tc.get("realizations", 5))
+    if model.cfg.variant == "direct" and clips != [math.inf]:
+        print(f"note: the direct variant never clips; clip_ratio "
+              f"{','.join(map(_fmt, clips))} is evaluated and reported as inf",
+              file=sys.stderr)
+        clips = [math.inf]
 
     rows = []
     for snr in snrs:
@@ -173,13 +176,8 @@ def cmd_chain_demo(args) -> int:
     h_hat = estimate_channel_mmse(pilot_rx, pilots, sigma_sq)
     y_eq = equalize_mmse(data_rx, h_hat, sigma_sq)
 
-    # effective per-subcarrier response of the normalized packet: c * H
-    frame = np.concatenate([pilots[None], z[0][None].reshape(1, ocfg.n_s, ocfg.l_fft)],
-                           axis=1)[0]
-    waves = frame @ np.conj(dft_matrix(ocfg.l_fft))
-    serial = np.concatenate([waves[:, ocfg.l_fft - ocfg.l_cp:], waves], axis=1).reshape(-1)
-    c = 1.0 / math.sqrt(float(np.mean(np.abs(serial) ** 2)))
-    h_eff = c * freq_response(h, ocfg.l_fft)[0]
+    # effective per-subcarrier response of the normalized packet
+    h_eff = pkt.gain[0] * freq_response(h, ocfg.l_fft)[0]
 
     tx = pkt.tx.value[0]
     pre = pkt.preclip.value[0]

@@ -1,13 +1,13 @@
-"""Complex tensors as (real, imaginary) pairs of autodiff nodes.
+"""Complex tensors over the engine: one node with a trailing (re, im) axis.
 
-The engine differentiates real arrays only; complex arithmetic is composed
-from real primitives, so gradients of real-valued losses flow through both
-planes without any complex-calculus conventions.
+A complex tensor of shape ``S`` is one float64 node of shape ``S + (2,)``
+(see :mod:`.autodiff`, which holds the fused complex ops). :class:`CplxNode`
+gives such a node its complex face, and the functions here apply the engine's
+ops to CplxNodes, with axes counted over the complex dimensions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,102 +16,100 @@ from . import autodiff as ad
 from .autodiff import Node
 
 
-@dataclass(frozen=True)
 class CplxNode:
-    """A complex-valued tensor: two real nodes of identical shape."""
+    """A complex tensor: one node ``z`` of shape ``shape + (2,)``.
 
-    re: Node
-    im: Node
+    ``CplxNode(re, im)`` packs two real nodes of equal shape (one ``pack``
+    node, so gradients reach both); ``CplxNode(z)`` wraps a packed node.
+    """
 
-    def __post_init__(self):
-        if self.re.value.shape != self.im.value.shape:
-            raise ValueError(f"CplxNode: plane shapes differ "
-                             f"{self.re.value.shape} vs {self.im.value.shape}")
+    __slots__ = ("z",)
+
+    def __init__(self, re: Node, im: Node | None = None):
+        if im is None:
+            ad._require_packed("CplxNode", re)
+        self.z = re if im is None else ad.pack(re, im)
 
     @property
     def shape(self) -> tuple:
-        return self.re.value.shape
+        return self.z.value.shape[:-1]
+
+    @property
+    def ndim(self) -> int:
+        return self.z.value.ndim - 1
 
     @property
     def value(self) -> np.ndarray:
         """Complex ndarray snapshot of the forward value (read-only view)."""
-        return self.re.value + 1j * self.im.value
+        return ad._c(self.z.value)
 
 
 def const(z) -> CplxNode:
-    z = np.asarray(z, dtype=np.complex128)
-    return CplxNode(ad.constant(z.real), ad.constant(z.imag))
+    return CplxNode(ad.constant(ad._r(np.asarray(z, dtype=np.complex128))))
 
 
 def add(a: CplxNode, b: CplxNode) -> CplxNode:
-    return CplxNode(ad.add(a.re, b.re), ad.add(a.im, b.im))
+    return CplxNode(ad.add(a.z, b.z))
 
 
 def sub(a: CplxNode, b: CplxNode) -> CplxNode:
-    return CplxNode(ad.sub(a.re, b.re), ad.sub(a.im, b.im))
-
-
-def mul(a: CplxNode, b: CplxNode) -> CplxNode:
-    """(ar + j ai)(br + j bi) via four real products."""
-    re = ad.sub(ad.mul(a.re, b.re), ad.mul(a.im, b.im))
-    im = ad.add(ad.mul(a.re, b.im), ad.mul(a.im, b.re))
-    return CplxNode(re, im)
+    return CplxNode(ad.sub(a.z, b.z))
 
 
 def conj_mul(a: CplxNode, b: CplxNode) -> CplxNode:
-    """conj(a) * b."""
-    re = ad.add(ad.mul(a.re, b.re), ad.mul(a.im, b.im))
-    im = ad.sub(ad.mul(a.re, b.im), ad.mul(a.im, b.re))
-    return CplxNode(re, im)
-
-
-def abs2(a: CplxNode) -> Node:
-    """Squared amplitude |a|^2 as a real node."""
-    return ad.add(ad.mul(a.re, a.re), ad.mul(a.im, a.im))
+    """``conj(a) * b``."""
+    return CplxNode(ad.conj_mul(a.z, b.z))
 
 
 def mul_real(a: CplxNode, s: Node) -> CplxNode:
-    """Elementwise multiply by a real node of the same shape."""
-    return CplxNode(ad.mul(a.re, s), ad.mul(a.im, s))
+    """Multiply by a real node of shape ``a.shape``."""
+    return CplxNode(ad.mul_real(a.z, s))
 
 
 def scale_first(a: CplxNode, s: Node) -> CplxNode:
-    return CplxNode(ad.scale_first(a.re, s), ad.scale_first(a.im, s))
+    """Multiply row ``i`` by ``s[i]``; ``s`` is real of shape (B,)."""
+    return CplxNode(ad.scale_first(a.z, s))
 
 
-def scale_all(a: CplxNode, s: Node) -> CplxNode:
-    return CplxNode(ad.scale_all(a.re, s), ad.scale_all(a.im, s))
+def dft(a: CplxNode) -> CplxNode:
+    """Unitary DFT along the last axis."""
+    return CplxNode(ad.dft(a.z))
 
 
-def mul_const(a: CplxNode, c: float) -> CplxNode:
-    return CplxNode(ad.mul_const(a.re, c), ad.mul_const(a.im, c))
+def idft(a: CplxNode) -> CplxNode:
+    """Unitary inverse DFT along the last axis."""
+    return CplxNode(ad.idft(a.z))
 
 
-def sum_axes(a: CplxNode, axes) -> CplxNode:
-    return CplxNode(ad.sum_axes(a.re, axes), ad.sum_axes(a.im, axes))
+def fir(y: CplxNode, taps: np.ndarray) -> CplxNode:
+    """Leading-aligned FIR filter of (B, T) ``y`` with complex (B, L) taps."""
+    return CplxNode(ad.fir(y.z, taps))
+
+
+def abs2(a: CplxNode) -> Node:
+    """Squared amplitude ``|a|^2`` as a real node of shape ``a.shape``."""
+    return ad.abs2(a.z)
+
+
+def sum_axes(a: CplxNode, axes: int | tuple) -> CplxNode:
+    axes = (axes,) if isinstance(axes, int) else axes
+    return CplxNode(ad.sum_axes(a.z, tuple(ax % a.ndim for ax in axes)))
 
 
 def reshape(a: CplxNode, shape: tuple) -> CplxNode:
-    return CplxNode(ad.reshape(a.re, shape), ad.reshape(a.im, shape))
+    return CplxNode(ad.reshape(a.z, tuple(shape) + (2,)))
 
 
 def slice_(a: CplxNode, key) -> CplxNode:
-    return CplxNode(ad.slice_(a.re, key), ad.slice_(a.im, key))
+    """Basic slicing of the complex axes (``slice``/int/Ellipsis); the index
+    appended for the pair axis keeps it whole, also after an Ellipsis."""
+    key = key if isinstance(key, tuple) else (key,)
+    return CplxNode(ad.slice_(a.z, key + (slice(None),)))
 
 
 def concat(parts: Sequence[CplxNode], axis: int) -> CplxNode:
-    return CplxNode(ad.concat([p.re for p in parts], axis),
-                    ad.concat([p.im for p in parts], axis))
+    return CplxNode(ad.concat([p.z for p in parts], axis % parts[0].ndim))
 
 
 def tile(a: CplxNode, axis: int, reps: int) -> CplxNode:
-    return CplxNode(ad.tile(a.re, axis, reps), ad.tile(a.im, axis, reps))
-
-
-def matmul_const(a: CplxNode, mat: np.ndarray) -> CplxNode:
-    """``a @ mat`` for a constant complex matrix (e.g. a DFT matrix)."""
-    mr = ad.constant(np.ascontiguousarray(mat.real))
-    mi = ad.constant(np.ascontiguousarray(mat.imag))
-    re = ad.sub(ad.matmul(a.re, mr), ad.matmul(a.im, mi))
-    im = ad.add(ad.matmul(a.re, mi), ad.matmul(a.im, mr))
-    return CplxNode(re, im)
+    return CplxNode(ad.tile(a.z, axis % a.ndim, reps))

@@ -9,7 +9,6 @@ tiny transceiver and validates the full training gradient.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -20,8 +19,8 @@ from .autodiff import GradCheckReport, Node, finite_diff_check
 from .channel import apply_channel, awgn, sample_channel, snr_to_sigma_sq
 from .model import ModelConfig, build_model
 from .nn import BatchNorm
-from .ofdm import OfdmConfig, assemble_packet, disassemble_packet, dft, idft, \
-    make_pilots, normalize_power, clip
+from .ofdm import OfdmConfig, assemble_packet, disassemble_packet, make_pilots, \
+    normalize_power, clip
 from .receiver import equalize_mmse, estimate_channel_mmse
 from .training import mse_loss
 
@@ -125,6 +124,8 @@ def op_checks(step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL
     register(lambda: _check(
         "tile", lambda x: _scalarize(ad.tile(ad.reshape(x, (3, 1, 4)), 1, 5)),
         _rng(18).standard_normal((3, 4)), step, tol))
+    register(lambda: _check("moveaxis", lambda x: _scalarize(ad.moveaxis(x, 1, -1)),
+                            _rng(46).standard_normal((2, 3, 4, 2)), step, tol))
 
     def matmul_check():
         a_shape, b_shape = (2, 3, 4), (4, 5)
@@ -137,17 +138,17 @@ def op_checks(step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL
     register(matmul_check)
 
     # --- broadcast helpers --------------------------------------------------
-    def broadcast_check(name, op, xshape, sshape, seed):
+    def two_input_check(name, op, xshape, sshape, seed):
         def fn(v):
             x, s = _split2(v, int(np.prod(xshape)), xshape, sshape)
             return _scalarize(op(x, s))
         n = int(np.prod(xshape)) + int(np.prod(sshape, dtype=int))
         return _check(name, fn, _rng(seed).standard_normal(n), step, tol)
 
-    register(lambda: broadcast_check("bias_last", ad.bias_last, (2, 3, 4), (4,), 20))
-    register(lambda: broadcast_check("scale_last", ad.scale_last, (2, 3, 4), (4,), 21))
-    register(lambda: broadcast_check("scale_first", ad.scale_first, (3, 4, 2), (3,), 22))
-    register(lambda: broadcast_check("scale_all", ad.scale_all, (3, 4), (), 23))
+    register(lambda: two_input_check("bias_last", ad.bias_last, (2, 3, 4), (4,), 20))
+    register(lambda: two_input_check("scale_last", ad.scale_last, (2, 3, 4), (4,), 21))
+    register(lambda: two_input_check("scale_first", ad.scale_first, (3, 4, 2), (3,), 22))
+    register(lambda: two_input_check("scale_all", ad.scale_all, (3, 4), (), 23))
 
     # --- DSP / NN primitives -------------------------------------------------
     def clip_scale_check():
@@ -157,12 +158,6 @@ def op_checks(step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL
                       lambda x: _scalarize(ad.mul(ad.clip_scale(x, 1.0), x)),
                       a2, step, tol)
     register(clip_scale_check)
-
-    def fir_check():
-        taps = _rng(26).standard_normal((2, 3))
-        return _check("fir", lambda y: _scalarize(ad.fir(y, taps)),
-                      _rng(27).standard_normal((2, 12)), step, tol)
-    register(fir_check)
 
     def conv2d_check(stride, seed, name):
         xs, ws = (2, 6, 5, 2), (3, 3, 2, 3)
@@ -187,105 +182,53 @@ def op_checks(step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL
                       _rng(33).standard_normal((4, 5, 5, 3)), step, tol)
     register(batchnorm_check)
 
-    # --- DSP composites ------------------------------------------------------
-    def cplx_pair(v, shape):
-        n = int(np.prod(shape))
-        re, im = _split2(v, n, shape, shape)
-        return cplx.CplxNode(re, im)
+    # --- complex primitives: packed (..., 2) inputs ---------------------------
+    register(lambda: two_input_check("pack", ad.pack, (3, 4), (3, 4), 47))
+    register(lambda: two_input_check("cmul", ad.cmul, (3, 4, 2), (3, 4, 2), 48))
+    register(lambda: two_input_check("conj_mul", ad.conj_mul, (3, 4, 2), (3, 4, 2), 49))
+    register(lambda: two_input_check("mul_real", ad.mul_real, (3, 4, 2), (3, 4), 50))
+    for name, op, seed in (("abs2", ad.abs2, 51), ("dft", ad.dft, 34), ("idft", ad.idft, 35)):
+        register(lambda name=name, op=op, seed=seed: _check(
+            name, lambda x: _scalarize(op(x)), _rng(seed).standard_normal((3, 8, 2)),
+            step, tol))
 
-    def dft_check(name, op, seed):
-        shape = (3, 8)
+    def fir_check():
+        taps = sample_channel(_rng(26), 3, 2.0, batch=2)
+        return _check("fir", lambda y: _scalarize(ad.fir(y, taps)),
+                      _rng(27).standard_normal((2, 12, 2)), step, tol)
+    register(fir_check)
 
-        def fn(v):
-            out = op(cplx_pair(v, shape))
-            return ad.add(_scalarize(out.re, 101), _scalarize(out.im, 102))
-
-        return _check(name, fn, _rng(seed).standard_normal(2 * 24), step, tol)
-    register(lambda: dft_check("dft", dft, 34))
-    register(lambda: dft_check("idft", idft, 35))
-
-    def normalize_check():
-        shape = (2, 10)
-
-        def fn(v):
-            out = normalize_power(cplx_pair(v, shape))
-            return ad.add(_scalarize(out.re, 103), _scalarize(out.im, 104))
-
-        return _check("normalize_power", fn, _rng(36).standard_normal(40), step, tol)
-    register(normalize_check)
-
-    def clip_check():
-        shape = (2, 12)
-
-        def fn(v):
-            out = clip(cplx_pair(v, shape), 1.0)
-            return ad.add(_scalarize(out.re, 105), _scalarize(out.im, 106))
-
-        # mix of amplitudes clearly below / above threshold 1
-        r = _rng(37)
-        z = r.standard_normal(48) * 1.1
-        z[np.abs(z) < 0.15] += 0.3
-        return _check("clip", fn, z, step, tol)
-    register(clip_check)
+    # --- DSP composites: a complex input is a packed (..., 2) point -----------
+    def dsp_check(name, fn, shape, seed, point=None):
+        point = _rng(seed).standard_normal(shape + (2,)) if point is None else point
+        return _check(name, lambda x: _scalarize(fn(cplx.CplxNode(x)).z, 100 + seed),
+                      point, step, tol)
 
     ocfg = OfdmConfig(l_fft=8, l_cp=4, n_p=2, n_s=3, pilot_seed=7)
     pilots = make_pilots(ocfg.pilot_seed, ocfg.n_p, ocfg.l_fft)
+    taps = sample_channel(_rng(39), 3, 2.0, batch=2)
+    noise = cplx.CplxNode(ad.constant(0.1 * _rng(40).standard_normal((2, 14, 2))))
+    # components clearly below / above the clipping threshold 1
+    clip_point = _rng(37).standard_normal((2, 12, 2)) * 1.1
+    clip_point[np.abs(clip_point) < 0.15] += 0.3
 
-    def assemble_check():
-        shape = (2, ocfg.n_s, ocfg.l_fft)
-
-        def fn(v):
-            pkt = assemble_packet(cplx_pair(v, shape), pilots, ocfg, clip_ratio=1.2)
-            pr, dr = disassemble_packet(pkt.tx, ocfg)
-            return ad.add(_scalarize(dr.re, 107),
-                          ad.add(_scalarize(dr.im, 108), _scalarize(pr.re, 109)))
-
-        n = 2 * int(np.prod(shape))
-        return _check("assemble_disassemble", fn, _rng(38).standard_normal(n), step, tol)
-    register(assemble_check)
-
-    def channel_check():
-        taps = sample_channel(_rng(39), 3, 2.0, batch=2)
-        w = _rng(40).standard_normal((2, 14, 2))
-        noise = 0.1 * (w[..., 0] + 1j * w[..., 1])
-        shape = (2, 14)
-
-        def fn(v):
-            out = apply_channel(cplx_pair(v, shape), taps, 0.0)
-            out = cplx.add(out, cplx.const(noise))
-            return ad.add(_scalarize(out.re, 110), _scalarize(out.im, 111))
-
-        return _check("apply_channel", fn, _rng(41).standard_normal(56), step, tol)
-    register(channel_check)
-
-    def estimate_check():
-        sigma_sq = snr_to_sigma_sq(10.0)
-        shape = (2, ocfg.n_p, ocfg.l_fft)
-
-        def fn(v):
-            h = estimate_channel_mmse(cplx_pair(v, shape), pilots, sigma_sq)
-            return ad.add(_scalarize(h.re, 112), _scalarize(h.im, 113))
-
-        n = 2 * int(np.prod(shape))
-        return _check("estimate_channel_mmse", fn, _rng(42).standard_normal(n), step, tol)
-    register(estimate_check)
-
-    def equalize_check():
-        sigma_sq = snr_to_sigma_sq(8.0)
-        hshape = (2, ocfg.l_fft)
-        dshape = (2, ocfg.n_s, ocfg.l_fft)
-        nh, nd = 2 * int(np.prod(hshape)), 2 * int(np.prod(dshape))
-
-        def fn(v):
-            hv = ad.slice_(v, (slice(0, nh),))
-            dv = ad.slice_(v, (slice(nh, None),))
-            h = cplx_pair(hv, hshape)
-            d = cplx_pair(dv, dshape)
-            out = equalize_mmse(d, h, sigma_sq)
-            return ad.add(_scalarize(out.re, 114), _scalarize(out.im, 115))
-
-        return _check("equalize_mmse", fn, _rng(43).standard_normal(nh + nd), step, tol)
-    register(equalize_check)
+    register(lambda: dsp_check("normalize_power", normalize_power, (2, 10), 36))
+    register(lambda: dsp_check("clip", lambda y: clip(y, 1.0), (2, 12), 37, clip_point))
+    register(lambda: dsp_check(
+        "assemble_disassemble", lambda g: cplx.concat(disassemble_packet(
+            assemble_packet(g, pilots, ocfg, clip_ratio=1.2).tx, ocfg), axis=1),
+        (2, ocfg.n_s, ocfg.l_fft), 38))
+    register(lambda: dsp_check(
+        "apply_channel", lambda y: cplx.add(apply_channel(y, taps, 0.0), noise), (2, 14), 41))
+    register(lambda: dsp_check(
+        "estimate_channel_mmse",
+        lambda p: estimate_channel_mmse(p, pilots, snr_to_sigma_sq(10.0)),
+        (2, ocfg.n_p, ocfg.l_fft), 42))
+    # row 0 of the point is the channel estimate, rows 1.. the data grid
+    register(lambda: dsp_check(
+        "equalize_mmse", lambda x: equalize_mmse(
+            cplx.slice_(x, (slice(None), slice(1, None))), cplx.slice_(x, (slice(None), 0)),
+            snr_to_sigma_sq(8.0)), (2, 1 + ocfg.n_s, ocfg.l_fft), 43))
 
     def mse_check():
         target = _rng(44).uniform(0, 1, (2, 3, 3, 1))

@@ -34,7 +34,7 @@ from .cplx import CplxNode
 from .channel import apply_channel, awgn
 from .nn import BatchNorm, Conv2d, Dense
 from .ofdm import OfdmConfig, TxPacket, assemble_packet, disassemble_packet, \
-    make_pilots, normalize_power
+    make_pilots, normalize_with_gain
 from .receiver import equalize_mmse, estimate_channel_mmse
 
 VARIANTS = ("direct", "implicit", "explicit")
@@ -109,12 +109,8 @@ class _Encoder:
         h = ad.relu(self.bn1(self.conv1(x), train))
         h = ad.relu(self.bn2(self.conv2(h), train))
         h = self.res(h, train)
-        h = self.head(ad.reshape(h, (b, -1)))
-        n_s, l_fft = self.grid_shape
-        m = n_s * l_fft
-        re = ad.reshape(ad.slice_(h, (slice(None), slice(0, m))), (b, n_s, l_fft))
-        im = ad.reshape(ad.slice_(h, (slice(None), slice(m, None))), (b, n_s, l_fft))
-        return CplxNode(re, im)
+        h = self.head(ad.reshape(h, (b, -1)))          # [re..., im...] per row
+        return CplxNode(ad.moveaxis(ad.reshape(h, (b, 2) + self.grid_shape), 1, -1))
 
     def layers(self):
         return [self.conv1, self.bn1, self.conv2, self.bn2, *self.res.layers(), self.head]
@@ -160,8 +156,9 @@ class _DecoderTrunk:
 class _Subnet:
     """Conv -> BN -> ReLU -> Conv -> BN residual head; identity at init.
 
-    Operates on (B, H, W, C_in) and returns (B, H, W, 2); 1-D inputs use
-    H = 1 with a (1, 3) kernel.
+    Operates on (B, H, W, C_in) and returns a complex (B, H, W) tensor, its
+    (re, im) the two output channels; 1-D inputs use H = 1 with a (1, 3)
+    kernel.
     """
 
     def __init__(self, name: str, c_in: int, hidden: int, rng, one_d: bool):
@@ -173,11 +170,7 @@ class _Subnet:
 
     def __call__(self, x: Node, train: bool) -> CplxNode:
         h = ad.relu(self.bn1(self.conv1(x), train))
-        h = self.bn2(self.conv2(h), train)
-        re = ad.slice_(h, (Ellipsis, slice(0, 1)))
-        im = ad.slice_(h, (Ellipsis, slice(1, 2)))
-        sq = x.value.shape[:-1]
-        return CplxNode(ad.reshape(re, sq), ad.reshape(im, sq))
+        return CplxNode(self.bn2(self.conv2(h), train))       # channels (re, im)
 
     def layers(self):
         return [self.conv1, self.bn1, self.conv2, self.bn2]
@@ -196,7 +189,7 @@ class _ImplicitFront:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         o = cfg.ofdm
-        self.n_s, self.n_p, self.l_fft = o.n_s, o.n_p, o.l_fft
+        self.n_s, self.l_fft = o.n_s, o.l_fft
         c_in = 2 * o.n_s + 4 * o.n_p
         m = cfg.front_hidden
         self.conv1 = Conv2d("front.conv1", 1, 1, c_in, m, rng, bias=False)
@@ -208,35 +201,24 @@ class _ImplicitFront:
     def __call__(self, pilot_rx: CplxNode, data_rx: CplxNode,
                  known: np.ndarray, train: bool) -> CplxNode:
         b, l = pilot_rx.shape[0], self.l_fft
-        chans = []
-        for grid in (data_rx, pilot_rx):
-            for comp in (grid.re, grid.im):
-                for r in range(comp.value.shape[1]):
-                    row = ad.slice_(comp, (slice(None), r, slice(None)))
-                    chans.append(ad.reshape(row, (b, 1, l, 1)))
+        # channels per subcarrier: the re rows then the im rows of each grid
+        chans = [ad.reshape(ad.moveaxis(g.z, 1, -1), (b, 1, l, -1))
+                 for g in (data_rx, pilot_rx)]
         kn = np.concatenate([known.real, known.imag], axis=0).T  # (l_fft, 2 n_p)
-        chans.append(ad.constant(np.ascontiguousarray(
-            np.broadcast_to(kn[None, None], (b, 1, l, kn.shape[1])))))
+        chans.append(ad.constant(np.broadcast_to(kn, (b, 1) + kn.shape)))
         h = ad.concat(chans, axis=3)
         h = ad.relu(self.bn1(self.conv1(h), train))
         h = ad.relu(self.bn2(self.conv2(h), train))
         out = self.conv3(h)                                      # (B, 1, L, 2 n_s)
-        rows = [ad.reshape(ad.slice_(out, (slice(None), 0, slice(None), j)),
-                           (b, 1, l)) for j in range(2 * self.n_s)]
-        return CplxNode(ad.concat(rows[:self.n_s], axis=1),
-                        ad.concat(rows[self.n_s:], axis=1))
+        return CplxNode(ad.moveaxis(ad.reshape(out, (b, l, 2, self.n_s)), -1, 1))
 
     def layers(self):
         return [self.conv1, self.bn1, self.conv2, self.bn2, self.conv3]
 
 
-def _flatten_cplx(z: CplxNode) -> list[Node]:
-    b = z.shape[0]
-    return [ad.reshape(z.re, (b, -1)), ad.reshape(z.im, (b, -1))]
-
-
-def _stack_last(parts: list[Node]) -> Node:
-    return ad.concat([ad.reshape(p, p.value.shape + (1,)) for p in parts], axis=-1)
+def _flatten_cplx(z: CplxNode) -> Node:
+    """(B, ...) complex -> (B, F) real features, all real parts first."""
+    return ad.reshape(ad.moveaxis(z.z, -1, 1), (z.shape[0], -1))
 
 
 class JsccModel:
@@ -318,29 +300,20 @@ class JsccModel:
         b = pilot_rx.shape[0]
         cfg = self.cfg.ofdm
         h_hat = estimate_channel_mmse(pilot_rx, self.pilots, sigma_sq)
-        if use_subnets:
-            known = cplx.tile(cplx.reshape(cplx.const(self.pilots),
-                                           (1, cfg.n_p, cfg.l_fft)), 0, b)
-            parts = [h_hat.re, h_hat.im]
-            for grid in (known, pilot_rx):
-                for i in range(cfg.n_p):
-                    row = (slice(None), i, slice(None))
-                    parts += [ad.slice_(grid.re, row), ad.slice_(grid.im, row)]
-            feat = _stack_last(parts)                          # (B, l_fft, C)
-            feat = ad.reshape(feat, (b, 1) + feat.value.shape[1:])
-            delta = self.subnet_h(feat, train)                 # (B, 1, l_fft)
-            delta = cplx.reshape(delta, (b, cfg.l_fft))
-            h_ref = cplx.add(h_hat, delta)
-        else:
-            h_ref = h_hat
+        if not use_subnets:
+            return h_hat, equalize_mmse(data_rx, h_hat, sigma_sq)
+        # per subcarrier: H_hat, then (re, im) of each known and received pilot row
+        p = self.pilots
+        known = np.stack([p.real, p.imag], -1).transpose(1, 0, 2).reshape(cfg.l_fft, -1)
+        rows = ad.reshape(ad.moveaxis(pilot_rx.z, 1, 2), (b, cfg.l_fft, -1))
+        feat = ad.concat([h_hat.z, ad.constant(np.broadcast_to(known, rows.shape)), rows],
+                         axis=-1)
+        delta = self.subnet_h(ad.reshape(feat, (b, 1) + feat.value.shape[1:]), train)
+        h_ref = cplx.add(h_hat, cplx.reshape(delta, (b, cfg.l_fft)))
         y_eq = equalize_mmse(data_rx, h_ref, sigma_sq)
-        if use_subnets:
-            hexp = cplx.tile(cplx.reshape(h_ref, (b, 1, cfg.l_fft)), 1, cfg.n_s)
-            feat = _stack_last([y_eq.re, y_eq.im, hexp.re, hexp.im])
-            y_ref = cplx.add(y_eq, self.subnet_eq(feat, train))
-        else:
-            y_ref = y_eq
-        return h_ref, y_ref
+        hexp = cplx.tile(cplx.reshape(h_ref, (b, 1, cfg.l_fft)), 1, cfg.n_s)
+        feat = ad.concat([y_eq.z, hexp.z], axis=-1)
+        return h_ref, cplx.add(y_eq, self.subnet_eq(feat, train))
 
     def forward(self, x: np.ndarray, taps: np.ndarray, sigma_sq: float,
                 clip_ratio: float = math.inf, train: bool = False,
@@ -362,10 +335,9 @@ class JsccModel:
         b = x.shape[0]
         cfg = self.cfg.ofdm
 
-        if self.cfg.variant == "direct":
-            serial = cplx.reshape(grid, (b, cfg.n_s * cfg.l_fft))
-            tx = normalize_power(serial)
-            pkt = TxPacket(tx=tx, preclip=tx)
+        if self.cfg.variant == "direct":   # no OFDM frame, so nothing to clip
+            tx, gain = normalize_with_gain(cplx.reshape(grid, (b, cfg.n_s * cfg.l_fft)))
+            pkt = TxPacket(tx=tx, preclip=tx, gain=gain.value)
         else:
             pkt = assemble_packet(grid, self.pilots, cfg, clip_ratio)
 
@@ -378,16 +350,14 @@ class JsccModel:
             rx = cplx.add(rx, cplx.const(noise))
 
         if self.cfg.variant == "direct":
-            feat = ad.concat(_flatten_cplx(rx), axis=1)
+            y = rx
         else:
             pilot_rx, data_rx = disassemble_packet(rx, cfg)
             if self.cfg.variant == "implicit":
-                y_front = self.front(pilot_rx, data_rx, self.pilots, train)
-                feat = ad.concat(_flatten_cplx(y_front), axis=1)
+                y = self.front(pilot_rx, data_rx, self.pilots, train)
             else:
-                _, y_ref = self.explicit_front(pilot_rx, data_rx, sigma_sq, train)
-                feat = ad.concat(_flatten_cplx(y_ref), axis=1)
-        return self.trunk(feat, train), pkt
+                _, y = self.explicit_front(pilot_rx, data_rx, sigma_sq, train)
+        return self.trunk(_flatten_cplx(y), train), pkt
 
 
 def build_model(cfg: ModelConfig, seed: int) -> JsccModel:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from . import cplx
 from .autodiff import Node
-from .cplx import CplxNode
+from .cplx import CplxNode, dft, idft
 
 P_S = 1.0  # nominal average transmit power after normalization
 
@@ -66,25 +65,6 @@ def channel_uses_per_pixel(cfg: OfdmConfig, height: int, width: int, channels: i
     return cfg.packet_len / float(height * width * channels)
 
 
-@lru_cache(maxsize=None)
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix F[n, k] = exp(-2j*pi*n*k/N) / sqrt(N) (symmetric)."""
-    idx = np.arange(n)
-    f = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
-    f.setflags(write=False)
-    return f
-
-
-def dft(x: CplxNode) -> CplxNode:
-    """Unitary DFT along the last axis."""
-    return cplx.matmul_const(x, dft_matrix(x.shape[-1]))
-
-
-def idft(x: CplxNode) -> CplxNode:
-    """Unitary inverse DFT along the last axis (conjugate of :func:`dft`)."""
-    return cplx.matmul_const(x, np.conj(dft_matrix(x.shape[-1])))
-
-
 def add_cp(x: CplxNode, l_cp: int) -> CplxNode:
     """Prepend the last ``l_cp`` samples of each symbol (last axis)."""
     n = x.shape[-1]
@@ -115,19 +95,20 @@ def make_pilots(seed: int, n_p: int, l_fft: int) -> np.ndarray:
 def normalize_power(y: CplxNode) -> CplxNode:
     """Scale to unit average power. 1-D input is treated as one signal;
     otherwise the leading axis indexes independent signals."""
-    a2 = cplx.abs2(y)
-    n = y.shape[-1] if y.re.value.ndim > 1 else y.re.value.size
-    if y.re.value.ndim == 1:
-        p = ad.mul_const(ad.sum_all(a2), 1.0 / n)
-        if float(p.value) == 0.0:
-            raise ValueError("normalize_power: all-zero signal")
-        return cplx.scale_all(y, ad.recip(ad.sqrt(p)))
-    axes = tuple(range(1, y.re.value.ndim))
-    count = int(np.prod([y.shape[i] for i in axes]))
-    p = ad.mul_const(ad.sum_axes(a2, axes), 1.0 / count)
+    return normalize_with_gain(y)[0]
+
+
+def normalize_with_gain(y: CplxNode) -> tuple[CplxNode, Node]:
+    """:func:`normalize_power` and its per-row gain node 1/sqrt(mean |y|^2)."""
+    if y.ndim == 1:
+        out, gain = normalize_with_gain(cplx.reshape(y, (1,) + y.shape))
+        return cplx.reshape(out, y.shape), gain
+    p = ad.mul_const(ad.sum_axes(cplx.abs2(y), tuple(range(1, y.ndim))),
+                     1.0 / math.prod(y.shape[1:]))
     if np.any(p.value == 0.0):
-        raise ValueError("normalize_power: all-zero signal in batch")
-    return cplx.scale_first(y, ad.recip(ad.sqrt(p)))
+        raise ValueError("normalize_power: all-zero signal")
+    gain = ad.recip(ad.sqrt(p))
+    return cplx.scale_first(y, gain), gain
 
 
 def clip(y: CplxNode, rho: float, p_s: float = P_S) -> CplxNode:
@@ -162,6 +143,7 @@ class TxPacket:
 
     tx: CplxNode        # (B, packet_len), after normalize + clip
     preclip: CplxNode   # (B, packet_len), after normalize only
+    gain: np.ndarray    # (B,), the power-normalization factor: preclip = gain * raw
 
 
 def assemble_packet(grid: CplxNode, pilots: np.ndarray, cfg: OfdmConfig,
@@ -172,19 +154,17 @@ def assemble_packet(grid: CplxNode, pilots: np.ndarray, cfg: OfdmConfig,
     complex grid. Pipeline: per-row IDFT -> cyclic prefix -> serialize
     (pilots first) -> normalize to P_s = 1 -> clip.
     """
-    if grid.re.value.ndim != 3 or grid.shape[1:] != (cfg.n_s, cfg.l_fft):
+    if grid.ndim != 3 or grid.shape[1:] != (cfg.n_s, cfg.l_fft):
         raise ValueError(f"assemble_packet: grid must be (B, {cfg.n_s}, {cfg.l_fft}), "
                          f"got {grid.shape}")
     if pilots.shape != (cfg.n_p, cfg.l_fft):
         raise ValueError(f"assemble_packet: pilots must be ({cfg.n_p}, {cfg.l_fft}), "
                          f"got {pilots.shape}")
     b = grid.shape[0]
-    prow = cplx.tile(cplx.reshape(cplx.const(pilots), (1, cfg.n_p, cfg.l_fft)), 0, b)
-    frame = cplx.concat([prow, grid], axis=1)
-    waves = add_cp(idft(frame), cfg.l_cp)
-    serial = cplx.reshape(waves, (b, cfg.packet_len))
-    norm = normalize_power(serial)
-    return TxPacket(tx=clip(norm, clip_ratio), preclip=norm)
+    prow = cplx.const(np.broadcast_to(pilots, (b,) + pilots.shape))
+    waves = add_cp(idft(cplx.concat([prow, grid], axis=1)), cfg.l_cp)
+    norm, gain = normalize_with_gain(cplx.reshape(waves, (b, cfg.packet_len)))
+    return TxPacket(tx=clip(norm, clip_ratio), preclip=norm, gain=gain.value)
 
 
 def disassemble_packet(rx: CplxNode, cfg: OfdmConfig) -> tuple[CplxNode, CplxNode]:
@@ -193,11 +173,9 @@ def disassemble_packet(rx: CplxNode, cfg: OfdmConfig) -> tuple[CplxNode, CplxNod
     Returns ``(pilot_grid, data_grid)`` of shapes (B, n_p, l_fft) and
     (B, n_s, l_fft): reshape to symbols, drop each cyclic prefix, DFT.
     """
-    if rx.re.value.ndim != 2 or rx.shape[1] != cfg.packet_len:
+    if rx.ndim != 2 or rx.shape[1] != cfg.packet_len:
         raise ValueError(f"disassemble_packet: rx must be (B, {cfg.packet_len}), got {rx.shape}")
-    b = rx.shape[0]
-    symbols = cplx.reshape(rx, (b, cfg.rows, cfg.symbol_len))
+    symbols = cplx.reshape(rx, (rx.shape[0], cfg.rows, cfg.symbol_len))
     grids = dft(remove_cp(symbols, cfg.l_cp))
-    pilot = cplx.slice_(grids, (slice(None), slice(0, cfg.n_p), slice(None)))
-    data = cplx.slice_(grids, (slice(None), slice(cfg.n_p, None), slice(None)))
-    return pilot, data
+    return (cplx.slice_(grids, (slice(None), slice(0, cfg.n_p))),
+            cplx.slice_(grids, (slice(None), slice(cfg.n_p, None))))

@@ -25,7 +25,7 @@ def estimate_channel_mmse(pilot_rx: CplxNode, pilots: np.ndarray,
     known transmitted grid (n_p, l_fft). Returns (B, l_fft). Known-pilot
     terms are constants; gradients flow through ``pilot_rx`` only.
     """
-    if pilot_rx.re.value.ndim != 3:
+    if pilot_rx.ndim != 3:
         raise ValueError(f"estimate_channel_mmse: pilot_rx must be (B, n_p, l_fft), "
                          f"got {pilot_rx.shape}")
     pilots = np.asarray(pilots, dtype=np.complex128)
@@ -35,8 +35,7 @@ def estimate_channel_mmse(pilot_rx: CplxNode, pilots: np.ndarray,
     if sigma_sq < 0:
         raise ValueError("estimate_channel_mmse: sigma_sq must be >= 0")
 
-    b = pilot_rx.shape[0]
-    ref = cplx.tile(cplx.reshape(cplx.const(pilots), (1,) + pilots.shape), 0, b)
+    ref = cplx.const(np.broadcast_to(pilots, pilot_rx.shape))
     num = cplx.sum_axes(cplx.conj_mul(ref, pilot_rx), 1)  # (B, l_fft)
     den = (np.abs(pilots) ** 2).sum(axis=0) + sigma_sq     # (l_fft,)
     inv = ad.constant(np.broadcast_to(1.0 / den, num.shape))
@@ -52,7 +51,7 @@ def equalize_mmse(data_rx: CplxNode, h_hat: CplxNode, sigma_sq: float) -> CplxNo
     subcarrier with H_hat[k] = 0 yields 0 by convention (the denominator's
     reciprocal is defined as 0 there). Differentiable in both inputs.
     """
-    if data_rx.re.value.ndim != 3 or h_hat.re.value.ndim != 2:
+    if data_rx.ndim != 3 or h_hat.ndim != 2:
         raise ValueError(f"equalize_mmse: need data_rx (B, n_s, l_fft) and h_hat "
                          f"(B, l_fft), got {data_rx.shape}, {h_hat.shape}")
     if data_rx.shape[0] != h_hat.shape[0] or data_rx.shape[2] != h_hat.shape[1]:

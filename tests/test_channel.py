@@ -5,12 +5,16 @@ prefix buys."""
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
 from ofdmjscc import cplx
 from ofdmjscc.channel import (apply_channel, awgn, freq_response, power_profile,
                               sample_channel, snr_to_sigma_sq)
 from ofdmjscc.ofdm import assemble_packet, disassemble_packet, make_pilots
+
+from conftest import ofdm_geometry
 
 
 def _cnode(z):
@@ -149,3 +153,22 @@ def test_awgn_draw_order_and_scale():
     assert w.shape == (3, 5) and w.dtype == np.complex128
     assert np.array_equal(w.real, math.sqrt(sigma_sq / 2.0) * g[..., 0])
     assert np.array_equal(w.imag, math.sqrt(sigma_sq / 2.0) * g[..., 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ofdm_geometry(), st.data())
+def test_per_subcarrier_identity_on_random_geometries(geometry, data):
+    """Noiseless Y = H X on every subcarrier whenever n_taps <= l_cp + 1."""
+    cfg, b, seed = geometry
+    n_taps = data.draw(st.integers(1, cfg.l_cp + 1))
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal((b, cfg.n_s, cfg.l_fft)) \
+        + 1j * rng.standard_normal((b, cfg.n_s, cfg.l_fft))
+    pilots = make_pilots(cfg.pilot_seed, cfg.n_p, cfg.l_fft)
+    pkt = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=math.inf)
+    h = sample_channel(rng, n_taps, 4.0, batch=b)
+    rx_p, rx_d = disassemble_packet(apply_channel(pkt.tx, h, sigma_sq=0.0), cfg)
+    tx_p, tx_d = disassemble_packet(pkt.tx, cfg)
+    h_k = freq_response(h, cfg.l_fft)[:, None, :]
+    assert np.allclose(rx_d.value, h_k * tx_d.value, rtol=0, atol=1e-12)
+    assert np.allclose(rx_p.value, h_k * tx_p.value, rtol=0, atol=1e-12)

@@ -129,6 +129,22 @@ def test_cli_eval_worker_invariant_csv(tmp_path, tiny_cfg_file):
     assert len(lines) == 1 + 4  # one row per (snr, clip) combination
 
 
+def test_cli_eval_direct_reports_effective_clip_ratio(tmp_path, capsys):
+    # the direct variant never clips, so its rows must not carry a requested ratio
+    cfg = tmp_path / "direct.cfg"
+    cfg.write_text(TINY_CFG.replace("variant = explicit", "variant = direct"))
+    run = _train(tmp_path, cfg)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.jscc"), "--out",
+               str(tmp_path / "ev"), "--snr-db", "0,10", "--clip-ratio", "1.0,1.4"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "note: the direct variant never clips" in err and "1.0,1.4" in err
+    lines = (tmp_path / "ev" / "metrics.csv").read_text().splitlines()
+    clip_col = METRICS_HEADER.index("clip_ratio")
+    assert [line.split(",")[clip_col] for line in lines[1:]] == ["inf", "inf"]
+
+
 def test_cli_eval_missing_checkpoint_fails(tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(tmp_path / "nope.jscc"),
                "--out", str(tmp_path)])

@@ -6,13 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
 from ofdmjscc import cplx
 from ofdmjscc.ofdm import (OfdmConfig, P_S, add_cp, assemble_packet,
-                           channel_uses_per_pixel, clip, dft, dft_matrix,
+                           channel_uses_per_pixel, clip, dft,
                            disassemble_packet, idft, make_pilots,
                            normalize_power, papr_db, remove_cp)
+
+from conftest import ofdm_geometry
 
 
 def _cnode(z):
@@ -41,7 +45,8 @@ def test_dft_matches_direct_summation(rng):
 
 
 def test_dft_matrix_is_unitary_and_symmetric():
-    f = dft_matrix(16)
+    # the op's matrix: row n is the DFT of the n-th unit vector
+    f = dft(cplx.const(np.eye(16))).value
     assert np.allclose(f @ f.conj().T, np.eye(16), atol=1e-13)
     assert np.allclose(f, f.T, atol=0)
 
@@ -78,8 +83,7 @@ def test_cp_gradient_flows(rng):
     x = rng.standard_normal((1, 2, 8))
     node = ad.leaf(x)
     c = cplx.CplxNode(node, ad.constant(np.zeros_like(x)))
-    y = add_cp(c, 3).re
-    loss = ad.sum_all(ad.mul(y, y))
+    loss = ad.sum_all(cplx.abs2(add_cp(c, 3)))  # imaginary plane is zero
     g = ad.backward(loss)[node]
     # tail samples appear twice (once in body, once as prefix): gradient 4x vs 2x
     assert np.allclose(g[..., :5], 2 * x[..., :5])
@@ -227,3 +231,35 @@ def test_config_validation():
         OfdmConfig(l_fft=8, l_cp=9, n_p=1, n_s=1)  # prefix longer than symbol
     with pytest.raises(ValueError):
         OfdmConfig(l_fft=8, l_cp=4, n_p=0, n_s=1)  # need pilots to estimate
+
+
+# ---------------------------------------------------------------------------
+# properties over random geometries
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(ofdm_geometry())
+def test_dft_parseval_and_inverse_on_random_geometries(geometry):
+    cfg, b, seed = geometry
+    x = _rand_cplx(np.random.default_rng(seed), (b, cfg.rows, cfg.l_fft))
+    y = dft(_cnode(x))
+    assert np.allclose(np.sum(np.abs(y.value) ** 2, axis=-1),
+                       np.sum(np.abs(x) ** 2, axis=-1), rtol=1e-12, atol=0)
+    assert np.allclose(idft(y).value, x, rtol=0, atol=1e-12)
+    assert np.allclose(dft(idft(_cnode(x))).value, x, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ofdm_geometry(), st.floats(0.3, 3.0))
+def test_packet_power_and_clip_bound_on_random_geometries(geometry, rho):
+    cfg, b, seed = geometry
+    grid = _rand_cplx(np.random.default_rng(seed), (b, cfg.n_s, cfg.l_fft))
+    pilots = make_pilots(cfg.pilot_seed, cfg.n_p, cfg.l_fft)
+    pkt = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=rho)
+    pre = pkt.preclip.value
+    assert pre.shape == (b, cfg.packet_len)
+    assert np.allclose(np.mean(np.abs(pre) ** 2, axis=1), 1.0, rtol=1e-12, atol=0)
+    assert np.abs(pkt.tx.value).max() <= rho * math.sqrt(P_S)
+    # the gain is the normalization factor: data subcarriers come back scaled by it
+    _, data = disassemble_packet(pkt.preclip, cfg)
+    assert np.allclose(data.value, pkt.gain[:, None, None] * grid, rtol=0, atol=1e-12)
