@@ -110,10 +110,6 @@ def constant(value) -> Node:
     return leaf(value, op="const")
 
 
-def as_node(x) -> Node:
-    return x if isinstance(x, Node) else constant(x)
-
-
 def assign(node: Node, value) -> None:
     """Replace a leaf's value in place (optimizer updates between graphs)."""
     if node.parents:
@@ -177,19 +173,6 @@ def mul(a: Node, b: Node) -> Node:
     _require_same_shape("mul", a, b)
     av, bv = a.value, b.value
     return record("mul", (a, b), np.multiply, lambda g: (g * bv, g * av))
-
-
-def div(a: Node, b: Node) -> Node:
-    _require_same_shape("div", a, b)
-    if np.any(b.value == 0.0):
-        raise ZeroDivisionError("div: zero denominator")
-    av, bv = a.value, b.value
-    return record("div", (a, b), np.divide,
-                  lambda g: (g / bv, -g * av / (bv * bv)))
-
-
-def neg(a: Node) -> Node:
-    return record("neg", (a,), np.negative, lambda g: (-g,))
 
 
 def add_const(a: Node, c: float) -> Node:
@@ -344,16 +327,6 @@ def bias_last(x: Node, b: Node) -> Node:
                   lambda g: (g, np.sum(g, axis=red)))
 
 
-def scale_last(x: Node, s: Node) -> Node:
-    """Multiply by a vector along the last axis (shape (C,))."""
-    if s.value.ndim != 1 or x.value.shape[-1] != s.value.shape[0]:
-        raise ValueError(f"scale_last: {x.shape} * {s.shape}")
-    red = tuple(range(x.value.ndim - 1))
-    xv, sv = x.value, s.value
-    return record("scale_last", (x, s), lambda a, b: a * b,
-                  lambda g: (g * sv, np.sum(g * xv, axis=red)))
-
-
 def scale_first(x: Node, s: Node) -> Node:
     """Multiply by a per-row scalar: x of shape (B, ...), s of shape (B,)."""
     if s.value.ndim != 1 or x.value.ndim < 1 or x.value.shape[0] != s.value.shape[0]:
@@ -364,16 +337,6 @@ def scale_first(x: Node, s: Node) -> Node:
     sv = s.value.reshape(bshape)
     return record("scale_first", (x, s), lambda a, b: a * sv,
                   lambda g: (g * sv, np.sum(g * xv, axis=red)))
-
-
-def scale_all(x: Node, s: Node) -> Node:
-    """Multiply the whole tensor by a scalar node (shape ())."""
-    if s.value.shape not in ((), (1,)):
-        raise ValueError(f"scale_all: scalar node required, got {s.shape}")
-    xv = x.value
-    sv = float(s.value)
-    return record("scale_all", (x, s), lambda a, b: a * sv,
-                  lambda g: (g * sv, np.asarray(np.sum(g * xv)).reshape(s.value.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +573,50 @@ def upsample2x(x: Node) -> Node:
                   lambda v: np.repeat(np.repeat(v, 2, axis=1), 2, axis=2), bwd)
 
 
+def batch_norm(x: Node, gamma: Node, beta: Node, eps: float,
+               stats: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[Node, np.ndarray, np.ndarray]:
+    """Per-channel (last axis) ``(x - mean) * (gamma * inv) + beta``, inv = 1/sqrt(var + eps).
+
+    ``stats=None`` (train mode) uses the biased batch (mean, var) over all
+    leading axes, else the fixed ``stats``; returns the node and (mean, var).
+    The forward repeats, expression for expression, the elementwise composite
+    it replaces, so values match it bitwise. Closed-form VJP: dbeta = sum(g),
+    dgamma = inv * sum(g * xc) and, in train mode, dx = gamma * inv *
+    (g - sum(g)/n - xhat * sum(g * xhat)/n) with xc = x - mean, xhat = xc * inv.
+    """
+    shapes = [np.shape(v) for v in (gamma.value, beta.value, *(stats or ()))]
+    if x.value.ndim < 2 or any(s != x.value.shape[-1:] for s in shapes):
+        raise ValueError(f"batch_norm: need x(..., C) and per-channel (C,) gamma, beta "
+                         f"and stats; got {x.shape} and {shapes}")
+    red = tuple(range(x.value.ndim - 1))
+    n = x.value.size // x.value.shape[-1]
+    train = stats is None
+    if train and n < 2:
+        raise ValueError("batch_norm: batch statistics need >= 2 samples")
+    mean, var = stats or (None, None)
+    xc = inv = scale = None
+
+    def fwd(xv, gv, bv):
+        nonlocal mean, var, xc, inv, scale
+        if train:
+            mean = np.sum(xv, axis=red) * (1.0 / n)
+        xc = xv + -mean
+        if train:
+            var = np.sum(xc * xc, axis=red) * (1.0 / n)
+        inv = 1.0 / np.sqrt(var + eps)
+        scale = gv * inv
+        return xc * scale + bv
+
+    def bwd(g):
+        sg, sgx = np.sum(g, axis=red), np.sum(g * xc, axis=red)
+        gx = scale * (g - (sg + xc * (inv * inv * sgx)) * (1.0 / n)) if train else g * scale
+        return gx, sgx * inv, sg
+
+    out = record("batch_norm", (x, gamma, beta), fwd, bwd)   # sets mean and var
+    return out, mean, var
+
+
 # ---------------------------------------------------------------------------
 # backward sweep
 # ---------------------------------------------------------------------------
@@ -706,6 +713,19 @@ class GradCheckReport:
         return (f"{status}  {self.name:<28s} coords={self.n_coords:<6d} "
                 f"max_rel_err={self.max_rel_err:.3e}")
 
+    @classmethod
+    def compare(cls, name: str, analytic: np.ndarray, fd: np.ndarray, tol: float,
+                floor: float, index: np.ndarray | None = None) -> "GradCheckReport":
+        """Report on the worst coordinate (see :func:`grad_errors`): the worst
+        failing one, else the largest relative error. ``index`` maps positions
+        to the reported ``worst_index`` (default: the position itself)."""
+        rel_err, abs_err, ok = grad_errors(analytic, fd, tol, floor)
+        if rel_err.size == 0:
+            return cls(name, 0, 0.0, 0.0, 0, True, floor)
+        worst = int(np.argmax(np.where(ok, -1.0, rel_err) if not ok.all() else rel_err))
+        return cls(name, int(rel_err.size), float(rel_err[worst]), float(abs_err[worst]),
+                   worst if index is None else int(index[worst]), bool(ok.all()), floor)
+
 
 def fd_noise_floor(f0: float, step: float) -> float:
     """Absolute resolution of a central difference of a scalar of size ``f0``.
@@ -765,15 +785,5 @@ def finite_diff_check(fn: Callable[[Node], Node], point: np.ndarray,
         lo = float(fn(leaf(pert.reshape(point.shape))).value)
         fd[j] = (hi - lo) / (2 * step)
 
-    floor = fd_noise_floor(v0, step)
-    rel_err, abs_err, ok = grad_errors(analytic[flat_idx], fd, tol, floor)
-    if rel_err.size == 0:
-        return GradCheckReport(name, 0, 0.0, 0.0, 0, True, floor)
-    bad = ~ok
-    worst = int(np.argmax(np.where(bad, rel_err, -1.0))) if bad.any() \
-        else int(np.argmax(rel_err))
-    return GradCheckReport(name=name, n_coords=int(flat_idx.size),
-                           max_rel_err=float(rel_err[worst]),
-                           max_abs_err=float(abs_err[worst]),
-                           worst_index=int(flat_idx[worst]),
-                           passed=bool(ok.all()), noise_floor=floor)
+    return GradCheckReport.compare(name, analytic[flat_idx], fd, tol,
+                                   fd_noise_floor(v0, step), flat_idx)

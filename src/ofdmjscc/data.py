@@ -227,8 +227,11 @@ def _entries(meta: dict, key: str) -> tuple[list[str], list[tuple[int, ...]]]:
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or "name" not in e or "shape" not in e:
             raise CheckpointError(f"metadata {key}[{i}] lacks name or shape")
+        shape = e["shape"]      # type(d) is int: a JSON true/false is not a size
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(f"metadata {key}[{i}] has bad shape {shape!r}")
         names.append(e["name"])
-        shapes.append(tuple(e["shape"]))
+        shapes.append(tuple(shape))
     return names, shapes
 
 
@@ -237,8 +240,9 @@ def load_checkpoint(path) -> dict:
 
     Returns ``{"arch", "train_config", "rng_state", "params", "opt_state"}``
     where ``params`` is a list of (name, array). Raises
-    :class:`CheckpointError` on bad magic/version, truncation, metadata
-    missing a section or an entry's name/shape, or blob/shape mismatches.
+    :class:`CheckpointError` on bad magic/version, truncation, trailing bytes,
+    metadata missing a section or an entry's name/shape, a shape or step that
+    is not a non-negative integer (list), or blob/shape mismatches.
     """
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
@@ -258,6 +262,8 @@ def load_checkpoint(path) -> dict:
         buf_blob = _read_section(f)
         m_blob = _read_section(f)
         v_blob = _read_section(f)
+        if f.read(1):
+            raise CheckpointError("trailing bytes after the last section")
 
     if not isinstance(meta, dict):
         raise CheckpointError("corrupt metadata: not a JSON object")
@@ -272,8 +278,11 @@ def load_checkpoint(path) -> dict:
     if meta["opt"] is not None:
         if not isinstance(meta["opt"], dict) or "step" not in meta["opt"]:
             raise CheckpointError("metadata opt lacks step")
+        step = meta["opt"]["step"]
+        if type(step) is not int or step < 0:
+            raise CheckpointError(f"metadata opt has bad step {step!r}")
         opt_state = {
-            "step": int(meta["opt"]["step"]),
+            "step": step,
             "m": _split_blob(m_blob, shapes, "optimizer m"),
             "v": _split_blob(v_blob, shapes, "optimizer v"),
         }

@@ -81,25 +81,13 @@ class BatchNorm:
         self.running_var = np.ones(channels)
 
     def __call__(self, x: Node, train: bool) -> Node:
-        if x.value.shape[-1] != self.gamma.value.shape[0]:
-            raise ValueError(f"{self.name}: expected {self.gamma.value.shape[0]} "
-                             f"channels, got {x.value.shape[-1]}")
-        red = tuple(range(x.value.ndim - 1))
+        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps,
+                                       None if train else (self.running_mean, self.running_var))
         if train:
-            n = int(np.prod([x.value.shape[i] for i in red]))
-            if n < 2:
-                raise ValueError(f"{self.name}: batch statistics need >= 2 samples")
-            mu = ad.mul_const(ad.sum_axes(x, red), 1.0 / n)
-            xc = ad.bias_last(x, ad.neg(mu))
-            var = ad.mul_const(ad.sum_axes(ad.mul(xc, xc), red), 1.0 / n)
-            inv = ad.recip(ad.sqrt(ad.add_const(var, self.eps)))
             m = self.momentum
-            self.running_mean = m * self.running_mean + (1 - m) * mu.value
-            self.running_var = m * self.running_var + (1 - m) * var.value
-        else:
-            xc = ad.bias_last(x, ad.constant(-self.running_mean))
-            inv = ad.constant(1.0 / np.sqrt(self.running_var + self.eps))
-        return ad.bias_last(ad.scale_last(xc, ad.mul(self.gamma, inv)), self.beta)
+            self.running_mean = m * self.running_mean + (1 - m) * mean
+            self.running_var = m * self.running_var + (1 - m) * var
+        return out
 
     def params(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]

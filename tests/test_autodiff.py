@@ -17,13 +17,11 @@ import ofdmjscc.autodiff as ad
 
 def test_elementwise_forward_matches_numpy(rng):
     a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((3, 4)) + 3.0  # keep div/sqrt away from 0
+    b = rng.standard_normal((3, 4)) + 3.0  # keep sqrt/recip away from 0
     na, nb = ad.leaf(a), ad.leaf(b)
     assert np.array_equal(ad.add(na, nb).value, a + b)
     assert np.array_equal(ad.sub(na, nb).value, a - b)
     assert np.array_equal(ad.mul(na, nb).value, a * b)
-    assert np.array_equal(ad.div(na, nb).value, a / b)
-    assert np.array_equal(ad.neg(na).value, -a)
     assert np.array_equal(ad.relu(na).value, np.maximum(a, 0.0))
     assert np.array_equal(ad.sqrt(nb).value, np.sqrt(b))
     assert np.array_equal(ad.recip(nb).value, 1.0 / b)

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmjscc.data import (CheckpointError, ImageFormatError, load_checkpoint,
                            load_image, save_checkpoint, save_image,
@@ -198,3 +200,90 @@ def test_checkpoint_incomplete_metadata(tmp_path, rng, edit, match):
     _rewrite_meta(path, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda meta: meta["params"][0].update(shape=6), r"params\[0\] has bad shape 6"),
+    (lambda meta: meta["params"][1].update(shape=["a"]), r"params\[1\] has bad shape"),
+    (lambda meta: meta["params"][0].update(shape=[-2, -3]), r"params\[0\] has bad shape"),
+    (lambda meta: meta["buffers"][0].update(shape=[True, 2]), r"buffers\[0\] has bad shape"),
+    (lambda meta: meta["opt"].update(step="x"), "opt has bad step 'x'"),
+    (lambda meta: meta["opt"].update(step=-1), "opt has bad step -1"),
+])
+def test_checkpoint_malformed_metadata(tmp_path, rng, edit, match):
+    path = tmp_path / "m.jscc"
+    _tiny_ckpt(path, rng)
+    _rewrite_meta(path, edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path, rng):
+    path = tmp_path / "m.jscc"
+    _tiny_ckpt(path, rng)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="trailing bytes"):
+        load_checkpoint(path)
+
+
+_tensor_sets = st.lists(st.tuples(st.text(max_size=6),
+                                  st.lists(st.integers(0, 3), max_size=3).map(tuple)),
+                        max_size=4)
+
+
+@st.composite
+def _checkpoint_contents(draw):
+    """Random parameter and buffer sets, with or without optimizer moments."""
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = [(n, r.standard_normal(s)) for n, s in draw(_tensor_sets)]
+    buffers = [(n, r.standard_normal(s)) for n, s in draw(_tensor_sets)]
+    opt = None
+    if draw(st.booleans()):
+        opt = {"step": draw(st.integers(0, 10 ** 6)),
+               "m": [r.standard_normal(v.shape) for _, v in params],
+               "v": [r.uniform(0, 1, v.shape) for _, v in params]}
+    return params, buffers, opt
+
+
+def _save(path, params, buffers, opt):
+    save_checkpoint(path, arch={"variant": "explicit"}, params=params,
+                    train_config={"seed": 3}, opt_state=opt, rng_state={"s": [1, 2]},
+                    buffers=buffers)
+
+
+def _same_tensors(got, want):
+    return len(got) == len(want) and all(
+        n == n2 and v.shape == np.shape(v2) and v.dtype == np.float64
+        and np.array_equal(v, v2) for (n, v), (n2, v2) in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_checkpoint_contents())
+def test_checkpoint_round_trip_property(tmp_path_factory, contents):
+    params, buffers, opt = contents
+    path = tmp_path_factory.mktemp("ck") / "m.jscc"
+    _save(path, params, buffers, opt)
+    ck = load_checkpoint(path)
+    assert _same_tensors(ck["params"], params) and _same_tensors(ck["buffers"], buffers)
+    if opt is None:
+        assert ck["opt_state"] is None
+    else:
+        assert ck["opt_state"]["step"] == opt["step"]
+        for key in ("m", "v"):
+            assert all(np.array_equal(a, b) for a, b in zip(ck["opt_state"][key], opt[key]))
+    again = path.with_name("again.jscc")
+    _save(again, ck["params"], ck["buffers"], ck["opt_state"])
+    assert again.read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(_checkpoint_contents())
+def test_checkpoint_truncation_at_every_offset(tmp_path_factory, contents):
+    path = tmp_path_factory.mktemp("ck") / "m.jscc"
+    _save(path, *contents)
+    raw = path.read_bytes()
+    cut = path.with_name("cut.jscc")
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
 from ofdmjscc.model import JsccModel, ModelConfig, build_model
@@ -77,6 +79,79 @@ def test_batchnorm_zero_gamma_outputs_zero(rng):
     bn = BatchNorm("bn", 3, gamma_init=0.0)
     out = bn(ad.leaf(rng.standard_normal((8, 3))), train=True).value
     assert np.array_equal(out, np.zeros_like(out))
+
+
+def test_batch_norm_rejects_bad_parameter_shapes():
+    x = ad.leaf(np.zeros((4, 3)))
+    three, two = ad.leaf(np.ones(3)), ad.leaf(np.ones(2))
+    for gamma, beta in ((two, three), (three, two), (ad.leaf(np.ones((1, 3))), three)):
+        with pytest.raises(ValueError, match="per-channel"):
+            ad.batch_norm(x, gamma, beta, 1e-5)
+    with pytest.raises(ValueError, match="per-channel"):
+        ad.batch_norm(x, three, three, 1e-5, (np.zeros(3), np.ones(2)))
+    with pytest.raises(ValueError, match=">= 2 samples"):
+        ad.batch_norm(ad.leaf(np.zeros((1, 3))), three, three, 1e-5)
+
+
+def _scale_channels(x, s):
+    """``x * s`` with ``s`` of shape (C,) along the last axis: s tiled to x."""
+    t = ad.reshape(s, (1,) * (x.value.ndim - 1) + s.value.shape)
+    for axis, size in enumerate(x.value.shape[:-1]):
+        t = ad.tile(t, axis, size)
+    return ad.mul(x, t)
+
+
+def _batch_norm_reference(x, gamma, beta, eps, stats):
+    """The composite of elementwise engine ops that ``batch_norm`` fuses."""
+    red = tuple(range(x.value.ndim - 1))
+    if stats is None:
+        n = x.value.size // x.value.shape[-1]
+        mean = ad.mul_const(ad.sum_axes(x, red), 1.0 / n)
+        xc = ad.bias_last(x, ad.mul_const(mean, -1.0))
+        var = ad.mul_const(ad.sum_axes(ad.mul(xc, xc), red), 1.0 / n)
+        inv = ad.recip(ad.sqrt(ad.add_const(var, eps)))
+    else:
+        xc = ad.bias_last(x, ad.constant(-stats[0]))
+        inv = ad.constant(1.0 / np.sqrt(stats[1] + eps))
+    return ad.bias_last(_scale_channels(xc, ad.mul(gamma, inv)), beta), xc.value, inv.value
+
+
+@settings(max_examples=80, deadline=None)
+@given(lead=st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(
+           lambda s: math.prod(s) >= 2),
+       channels=st.integers(1, 8), train=st.booleans(), zero_gamma=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_norm_matches_composite(lead, channels, train, zero_gamma, seed):
+    r = np.random.default_rng(seed)
+    shape = tuple(lead) + (channels,)
+    x = r.uniform(-3, 3, channels) + 10.0 ** r.uniform(-3, 1, channels) * r.standard_normal(shape)
+    gamma = np.zeros(channels) if zero_gamma else r.uniform(-2, 2, channels)
+    beta = r.standard_normal(channels)
+    stats = None if train else (r.standard_normal(channels), r.uniform(0.1, 2.0, channels))
+    g = r.standard_normal(shape)
+
+    def run(op):
+        leaves = [ad.leaf(v) for v in (x, gamma, beta)]
+        out = op(*leaves, 1e-5, stats)
+        grads = ad.backward(ad.sum_all(ad.mul(out[0], ad.constant(g))))
+        return out, [grads[n] for n in leaves]
+
+    (out, mean, var), got = run(ad.batch_norm)
+    (ref, xc, inv), want = run(_batch_norm_reference)
+    assert np.array_equal(out.value, ref.value)
+    red = tuple(range(len(lead)))
+    if train:
+        assert np.array_equal(mean, np.sum(x, axis=red) * (1.0 / math.prod(lead)))
+        assert np.array_equal(var, np.sum(xc * xc, axis=red) * (1.0 / math.prod(lead)))
+    else:
+        assert mean is stats[0] and var is stats[1]
+    # relative to the size of the terms summed into each VJP, since cancelling
+    # sums (sum(g * xc), the projection in dx) can be near zero
+    scales = (np.abs(gamma * inv).max() * np.abs(g).max(),
+              np.max(inv * np.sum(np.abs(g * xc), axis=red)),
+              np.max(np.sum(np.abs(g), axis=red)))
+    for a, b, scale in zip(got, want, scales):
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +315,15 @@ def test_gradients_reach_every_parameter(rng):
     grads = ad.backward(mse_loss(recon, x))
     missing = [n for n, p in model.params() if p not in grads]
     assert missing == []
+
+
+@pytest.mark.parametrize("variant, limit", [("direct", 100), ("implicit", 135),
+                                            ("explicit", 160)])
+def test_training_graph_size(variant, limit, rng):
+    # one batch_norm node per BatchNorm call, not an elementwise composite
+    from ofdmjscc.training import mse_loss
+    model = build_model(tiny_model_cfg(variant), seed=2)
+    x = rng.random((16, 8, 8, 1))
+    taps = (rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))) / 2
+    recon, _ = model.forward(x, taps, 0.1, train=True, rng=np.random.default_rng(1))
+    assert len(ad._reachable(mse_loss(recon, x))) <= limit
