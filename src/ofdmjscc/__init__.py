@@ -8,13 +8,14 @@ equalization — so that convolutional image codecs can be trained end to
 end straight through the waveform.
 """
 
-from .autodiff import Node, backward, constant, finite_diff_check, leaf
+from .autodiff import Node, backward, constant, leaf
 from .channel import apply_channel, freq_response, power_profile, sample_channel, \
     snr_to_sigma_sq
 from .config import ExperimentConfig, load_config
 from .cplx import CplxNode
 from .data import load_checkpoint, load_image, save_checkpoint, save_image, \
     synth_dataset
+from .gradcheck import finite_diff_check
 from .metrics import papr_ccdf, psnr, ssim
 from .model import JsccModel, ModelConfig, VARIANTS, build_model
 from .ofdm import OfdmConfig, assemble_packet, channel_uses_per_pixel, clip, \

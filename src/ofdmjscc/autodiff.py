@@ -10,7 +10,7 @@ canonical order (sorted by consumer node id), so *any* valid topological
 order passed to :func:`backward` produces bitwise-identical gradients.
 
 A complex signal is one float64 node whose trailing axis of 2 holds the
-(re, im) pair; the complex ops below (``cmul``, ``abs2``, ``dft``, ``fir``, ...)
+(re, im) pair; the complex ops below (``conj_mul``, ``abs2``, ``dft``, ``fir``, ...)
 view it as complex128 internally, but every node value and gradient is a
 float64 array, so there is no complex dtype anywhere in the graph.
 :mod:`.cplx` wraps such nodes as :class:`~.cplx.CplxNode`.
@@ -19,10 +19,8 @@ float64 array, so there is no complex dtype anywhere in the graph.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +28,7 @@ import numpy as np
 _ids = itertools.count()
 
 # Test hook: scales the VJP of a given op tag during backward. Used by the
-# gradient-check harness to prove it can detect a broken backward pass.
+# finite-difference checks to prove they detect a broken backward pass.
 _vjp_scale: dict[str, float] = {}
 
 
@@ -377,8 +375,8 @@ def clip_scale(a2: Node, threshold: float) -> Node:
 # ---------------------------------------------------------------------------
 # For a real loss the gradient of a packed z is packed the same way, as
 # dL/dRe z + j dL/dIm z. In that convention the VJP of a complex-linear map A
-# is A^H: cmul multiplies by the conjugate factor, the unitary DFT's VJP is the
-# inverse DFT and the FIR filter's a correlation with the conjugate taps.
+# is A^H: the unitary DFT's VJP is the inverse DFT and the FIR filter's a
+# correlation with the conjugate taps.
 
 def _c(x: np.ndarray) -> np.ndarray:
     """float64 (..., 2) -> complex128 (...), a view when ``x`` is contiguous."""
@@ -400,15 +398,6 @@ def pack(re: Node, im: Node) -> Node:
     _require_same_shape("pack", re, im)
     return record("pack", (re, im), lambda r, i: np.stack([r, i], axis=-1),
                   lambda g: (g[..., 0], g[..., 1]))
-
-
-def cmul(a: Node, b: Node) -> Node:
-    """Elementwise complex ``a * b``."""
-    _require_packed("cmul", a)
-    _require_same_shape("cmul", a, b)
-    av, bv = _c(a.value), _c(b.value)
-    return record("cmul", (a, b), lambda x, y: _r(_c(x) * _c(y)),
-                  lambda g: (_r(_c(g) * bv.conj()), _r(_c(g) * av.conj())))
 
 
 def conj_mul(a: Node, b: Node) -> Node:
@@ -695,37 +684,8 @@ def backward(loss: Node, order: Sequence[Node] | None = None) -> dict[Node, np.n
 
 
 # ---------------------------------------------------------------------------
-# finite-difference gradient checking
+# finite-difference error measures (the probe is gradcheck.finite_diff_check)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    name: str
-    n_coords: int
-    max_rel_err: float
-    max_abs_err: float
-    worst_index: int
-    passed: bool
-    noise_floor: float = 0.0
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status}  {self.name:<28s} coords={self.n_coords:<6d} "
-                f"max_rel_err={self.max_rel_err:.3e}")
-
-    @classmethod
-    def compare(cls, name: str, analytic: np.ndarray, fd: np.ndarray, tol: float,
-                floor: float, index: np.ndarray | None = None) -> "GradCheckReport":
-        """Report on the worst coordinate (see :func:`grad_errors`): the worst
-        failing one, else the largest relative error. ``index`` maps positions
-        to the reported ``worst_index`` (default: the position itself)."""
-        rel_err, abs_err, ok = grad_errors(analytic, fd, tol, floor)
-        if rel_err.size == 0:
-            return cls(name, 0, 0.0, 0.0, 0, True, floor)
-        worst = int(np.argmax(np.where(ok, -1.0, rel_err) if not ok.all() else rel_err))
-        return cls(name, int(rel_err.size), float(rel_err[worst]), float(abs_err[worst]),
-                   worst if index is None else int(index[worst]), bool(ok.all()), floor)
-
 
 def fd_noise_floor(f0: float, step: float) -> float:
     """Absolute resolution of a central difference of a scalar of size ``f0``.
@@ -752,38 +712,3 @@ def grad_errors(analytic: np.ndarray, fd: np.ndarray, tol: float,
     ok = (rel_err <= tol) | (abs_err <= floor)
     return rel_err, abs_err, ok
 
-
-def finite_diff_check(fn: Callable[[Node], Node], point: np.ndarray,
-                      step: float = 1e-5, tol: float = 1e-6,
-                      name: str = "fn", coords: np.ndarray | None = None) -> GradCheckReport:
-    """Compare the analytic gradient of a scalar ``fn`` against central
-    finite differences.
-
-    ``fn`` maps a leaf node to a scalar node and must be deterministic (any
-    randomness frozen); this is verified by evaluating the base point twice.
-    ``coords`` optionally restricts the check to a subset of flat indices.
-    Pass criterion per coordinate: see :func:`grad_errors`.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    x0 = leaf(point)
-    loss = fn(x0)
-    if loss.value.size != 1:
-        raise ValueError("finite_diff_check: fn must return a scalar node")
-    v0 = float(loss.value)
-    v0b = float(fn(leaf(point)).value)
-    if v0 != v0b:
-        raise RuntimeError("finite_diff_check: fn is nondeterministic at the base point")
-    analytic = backward(loss)[x0].reshape(-1)
-
-    flat_idx = np.arange(point.size) if coords is None else np.asarray(coords, dtype=int)
-    fd = np.empty(flat_idx.size)
-    for j, idx in enumerate(flat_idx):
-        pert = point.copy().reshape(-1)
-        pert[idx] += step
-        hi = float(fn(leaf(pert.reshape(point.shape))).value)
-        pert[idx] -= 2 * step
-        lo = float(fn(leaf(pert.reshape(point.shape))).value)
-        fd[j] = (hi - lo) / (2 * step)
-
-    return GradCheckReport.compare(name, analytic[flat_idx], fd, tol,
-                                   fd_noise_floor(v0, step), flat_idx)

@@ -51,22 +51,16 @@ class ExperimentConfig:
     realizations: int = 5
     seed: int = 0
 
+    def _fields_of(self, cls, skip: tuple = ()) -> dict:
+        """This config's values for the fields of dataclass ``cls``."""
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in skip}
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            variant=self.variant, image_h=self.image_h, image_w=self.image_w,
-            image_c=self.image_c, width1=self.width1, width2=self.width2,
-            subnet_hidden=self.subnet_hidden, head_hidden=self.head_hidden,
-            front_hidden=self.front_hidden,
-            ofdm=OfdmConfig(l_fft=self.l_fft, l_cp=self.l_cp, n_p=self.n_p,
-                            n_s=self.n_s, pilot_seed=self.pilot_seed))
+        return ModelConfig(ofdm=OfdmConfig(**self._fields_of(OfdmConfig)),
+                           **self._fields_of(ModelConfig, skip=("ofdm",)))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-            lr_decay_start=self.lr_decay_start, snr_db=self.snr_db,
-            snr_db_min=self.snr_db_min, snr_db_max=self.snr_db_max,
-            clip_ratio=self.clip_ratio, n_taps=self.n_taps, gamma=self.gamma,
-            seed=self.seed)
+        return TrainConfig(**self._fields_of(TrainConfig))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

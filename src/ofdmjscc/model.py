@@ -289,19 +289,15 @@ class JsccModel:
         return self.encoder(x, train)
 
     def explicit_front(self, pilot_rx: CplxNode, data_rx: CplxNode, sigma_sq: float,
-                       train: bool, use_subnets: bool = True
-                       ) -> tuple[CplxNode, CplxNode]:
+                       train: bool) -> tuple[CplxNode, CplxNode]:
         """Estimate + equalize with learned residual refinements.
 
-        Returns ``(h_ref, y_ref)``; with ``use_subnets=False`` (or at
-        initialization, where the subnet output is exactly zero) this is the
-        plain DSP pipeline.
+        Returns ``(h_ref, y_ref)``; at initialization, where the subnet output
+        is exactly zero, this is the plain DSP pipeline.
         """
         b = pilot_rx.shape[0]
         cfg = self.cfg.ofdm
         h_hat = estimate_channel_mmse(pilot_rx, self.pilots, sigma_sq)
-        if not use_subnets:
-            return h_hat, equalize_mmse(data_rx, h_hat, sigma_sq)
         # per subcarrier: H_hat, then (re, im) of each known and received pilot row
         p = self.pilots
         known = np.stack([p.real, p.imag], -1).transpose(1, 0, 2).reshape(cfg.l_fft, -1)

@@ -30,7 +30,7 @@ from ofdmjscc.gradcheck import run_all
 from ofdmjscc.model import VARIANTS, build_model
 from ofdmjscc.ofdm import OfdmConfig, assemble_packet, channel_uses_per_pixel, \
     disassemble_packet, make_pilots
-from ofdmjscc.training import TrainConfig, evaluate, train
+from ofdmjscc.training import evaluate, train
 
 # Shared wall-clock ledger: criterion 6 shares criterion 5's 30-minute budget.
 TIMES: dict[str, float] = {}
@@ -60,12 +60,7 @@ def toy_config(variant: str, seed: int, **overrides) -> ExperimentConfig:
 
 def train_toy(cfg: ExperimentConfig, train_imgs: np.ndarray):
     model = build_model(cfg.model_config(), seed=cfg.seed)
-    tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                       lr_decay_start=cfg.lr_decay_start, snr_db=cfg.snr_db,
-                       snr_db_min=cfg.snr_db_min, snr_db_max=cfg.snr_db_max,
-                       clip_ratio=cfg.clip_ratio, n_taps=cfg.n_taps,
-                       gamma=cfg.gamma, seed=cfg.seed)
-    train(model, train_imgs, tcfg)
+    train(model, train_imgs, cfg.train_config())
     return model
 
 

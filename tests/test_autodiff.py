@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
+from ofdmjscc.gradcheck import finite_diff_check
 
 
 # ---------------------------------------------------------------------------
@@ -163,30 +164,75 @@ def test_constants_are_parentless_leaves():
 
 
 def test_finite_diff_harness_passes_on_composite(rng):
-    x = rng.standard_normal((4, 3))
+    x = ad.leaf(rng.standard_normal((4, 3)))
+    w = ad.constant(np.random.default_rng(5).standard_normal((3, 2)))
 
-    def fn(n):
-        h = ad.relu(ad.matmul(n, ad.constant(rng_w)))
+    def loss_fn():
+        h = ad.relu(ad.matmul(x, w))
         return ad.sum_all(ad.mul(h, h))
 
-    rng_w = np.random.default_rng(5).standard_normal((3, 2))
-    rep = ad.finite_diff_check(fn, x, name="relu-matmul")
+    rep = finite_diff_check(loss_fn, [x], step=1e-5, tol=1e-6, name="relu-matmul")
     assert rep.passed, rep.line()
     assert rep.max_rel_err < 1e-6
 
 
 def test_perturb_vjp_is_caught_by_finite_diff():
     # a deliberately corrupted backward rule must trip the checker
-    x = np.linspace(0.5, 1.5, 6).reshape(2, 3)
+    x = ad.leaf(np.linspace(0.5, 1.5, 6).reshape(2, 3))
 
-    def fn(n):
-        return ad.sum_all(ad.mul(n, n))
+    def check():
+        return finite_diff_check(lambda: ad.sum_all(ad.mul(x, x)), [x],
+                                 step=1e-5, tol=1e-6, name="square")
 
-    assert ad.finite_diff_check(fn, x).passed
+    assert check().passed
     with ad.perturb_vjp("mul", 1.001):
-        rep = ad.finite_diff_check(fn, x)
+        rep = check()
     assert not rep.passed
-    assert ad.finite_diff_check(fn, x).passed  # restored on exit
+    assert check().passed  # restored on exit
+
+
+def test_finite_diff_sampled_coords_catch_perturbed_vjp():
+    # two leaves, three coordinates of each drawn from the rng: a corrupted
+    # VJP must still be caught when only a sample is probed
+    r = np.random.default_rng(2)
+    a, b = ad.leaf(r.standard_normal((3, 4))), ad.leaf(r.standard_normal((4, 5)))
+    w = ad.constant(r.standard_normal((3, 5)))
+
+    def check(seed):
+        return finite_diff_check(lambda: ad.sum_all(ad.mul(ad.matmul(a, b), w)), [a, b],
+                                 step=1e-5, tol=1e-6, name="matmul", coords_per_leaf=3,
+                                 rng=np.random.default_rng(seed))
+
+    rep = check(0)
+    assert rep.passed and rep.n_coords == 6, rep.line()
+    with ad.perturb_vjp("matmul", 1.001):
+        assert not check(0).passed
+    with pytest.raises(ValueError, match="needs an rng"):
+        finite_diff_check(lambda: ad.sum_all(a), [a], step=1e-5, tol=1e-6, name="a",
+                          coords_per_leaf=3)
+
+
+def test_finite_diff_restores_leaves_bitwise():
+    r = np.random.default_rng(4)
+    a, b = ad.leaf(r.standard_normal((2, 3))), ad.leaf(r.standard_normal((2, 3)))
+    before = [a.value.tobytes(), b.value.tobytes()]
+    assert finite_diff_check(lambda: ad.sum_all(ad.mul(a, b)), [a, b],
+                             step=1e-5, tol=1e-6, name="mul").passed
+    assert [a.value.tobytes(), b.value.tobytes()] == before
+
+    calls = 0
+
+    def failing():
+        # succeeds at the base point (twice), then raises mid-probe of leaf b
+        nonlocal calls
+        calls += 1
+        if calls > 2 + 2 * a.value.size + 1:
+            raise RuntimeError("boom")
+        return ad.sum_all(ad.mul(a, b))
+
+    with pytest.raises(RuntimeError, match="boom"):
+        finite_diff_check(failing, [a, b], step=1e-5, tol=1e-6, name="mul")
+    assert [a.value.tobytes(), b.value.tobytes()] == before
 
 
 def test_fd_noise_floor_accepts_structural_zero():

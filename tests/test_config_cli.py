@@ -12,6 +12,9 @@ import ofdmjscc.autodiff as ad
 from ofdmjscc.cli import CHAIN_HEADER, METRICS_HEADER, TRAIN_LOSS_HEADER, main
 from ofdmjscc.config import (ExperimentConfig, format_config, load_config,
                              parse_config_text)
+from ofdmjscc.model import ModelConfig
+from ofdmjscc.ofdm import OfdmConfig
+from ofdmjscc.training import TrainConfig
 
 TINY_CFG = """
 # minimal geometry for fast end-to-end runs
@@ -85,6 +88,27 @@ def test_format_config_round_trips():
     text = format_config(cfg)
     assert ExperimentConfig(**parse_config_text(text)) == cfg
     assert "snr_db_min=none" in text
+
+
+def test_sub_configs_match_hand_built():
+    # model_config()/train_config() take their fields by name; compare them
+    # with configs spelled out field by field, at the defaults and at the
+    # toy geometry the benchmark and the acceptance suite train
+    assert ExperimentConfig().model_config() == ModelConfig()
+    assert ExperimentConfig().train_config() == TrainConfig()
+    toy = ExperimentConfig(image_h=16, image_w=16, image_c=1, width1=16, width2=32,
+                           head_hidden=128, front_hidden=32, l_fft=16, l_cp=12, n_p=2,
+                           n_s=4, variant="implicit", subnet_hidden=5, pilot_seed=3,
+                           epochs=30, batch_size=8, lr=2e-3, lr_decay_start=15,
+                           snr_db=7.0, snr_db_min=1.0, snr_db_max=9.0, clip_ratio=1.4,
+                           n_taps=5, gamma=2.0, seed=4)
+    assert toy.model_config() == ModelConfig(
+        variant="implicit", image_h=16, image_w=16, image_c=1, width1=16, width2=32,
+        subnet_hidden=5, head_hidden=128, front_hidden=32,
+        ofdm=OfdmConfig(l_fft=16, l_cp=12, n_p=2, n_s=4, pilot_seed=3))
+    assert toy.train_config() == TrainConfig(
+        epochs=30, batch_size=8, lr=2e-3, lr_decay_start=15, snr_db=7.0, snr_db_min=1.0,
+        snr_db_max=9.0, clip_ratio=1.4, n_taps=5, gamma=2.0, seed=4)
 
 
 # ---------------------------------------------------------------------------

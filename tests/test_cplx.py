@@ -19,12 +19,6 @@ TOL = 1e-12
 # two-plane reference: (re, im) pairs of real nodes
 # ---------------------------------------------------------------------------
 
-def _ref_mul(a, b):
-    (ar, ai), (br, bi) = a, b
-    return (ad.sub(ad.mul(ar, br), ad.mul(ai, bi)),
-            ad.add(ad.mul(ar, bi), ad.mul(ai, br)))
-
-
 def _ref_conj_mul(a, b):
     (ar, ai), (br, bi) = a, b
     return (ad.add(ad.mul(ar, br), ad.mul(ai, bi)),
@@ -105,10 +99,6 @@ def _compare(fused, ref, shapes, n_real, seed):
         np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL)
 
 
-def _cmul(a, b):
-    return cplx.CplxNode(ad.cmul(a.z, b.z))
-
-
 _batch = st.integers(1, 4)
 _len = st.integers(2, 64)
 _seed = st.integers(0, 2 ** 32 - 2)
@@ -118,7 +108,6 @@ _seed = st.integers(0, 2 ** 32 - 2)
 @given(_batch, _len, _seed)
 def test_elementwise_ops_match_two_plane_reference(b, n, seed):
     shape = (b, n)
-    _compare(_cmul, _ref_mul, [shape, shape], 0, seed)
     _compare(cplx.conj_mul, _ref_conj_mul, [shape, shape], 0, seed)
     _compare(cplx.abs2, _ref_abs2, [shape], 0, seed)
     _compare(cplx.mul_real, _ref_mul_real, [shape], 1, seed)
@@ -182,8 +171,6 @@ def test_generic_ops_count_complex_axes(rng):
 
 def test_fused_ops_reject_shape_mismatch():
     a, b = cplx.const(np.ones((2, 3))), cplx.const(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        ad.cmul(a.z, b.z)
     with pytest.raises(ValueError):
         cplx.conj_mul(a, b)
     with pytest.raises(ValueError):
