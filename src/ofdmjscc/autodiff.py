@@ -562,10 +562,13 @@ def upsample2x(x: Node) -> Node:
                   lambda v: np.repeat(np.repeat(v, 2, axis=1), 2, axis=2), bwd)
 
 
-def batch_norm(x: Node, gamma: Node, beta: Node, eps: float,
+BN_EPS = 1e-5   # added to the variance before the inverse square root
+
+
+def batch_norm(x: Node, gamma: Node, beta: Node,
                stats: tuple[np.ndarray, np.ndarray] | None = None
                ) -> tuple[Node, np.ndarray, np.ndarray]:
-    """Per-channel (last axis) ``(x - mean) * (gamma * inv) + beta``, inv = 1/sqrt(var + eps).
+    """Per-channel (last axis) ``(x - mean) * (gamma * inv) + beta``, inv = 1/sqrt(var + BN_EPS).
 
     ``stats=None`` (train mode) uses the biased batch (mean, var) over all
     leading axes, else the fixed ``stats``; returns the node and (mean, var).
@@ -593,7 +596,7 @@ def batch_norm(x: Node, gamma: Node, beta: Node, eps: float,
         xc = xv + -mean
         if train:
             var = np.sum(xc * xc, axis=red) * (1.0 / n)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         scale = gv * inv
         return xc * scale + bv
 

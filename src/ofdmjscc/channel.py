@@ -17,6 +17,7 @@ import numpy as np
 
 from . import cplx
 from .cplx import CplxNode
+from .ofdm import P_S
 
 
 def power_profile(n_taps: int, gamma: float) -> np.ndarray:
@@ -53,9 +54,10 @@ def awgn(rng: np.random.Generator, shape: tuple, sigma_sq: float) -> np.ndarray:
     return (np.sqrt(sigma_sq / 2.0) * g).view(np.complex128)[..., 0]
 
 
-def snr_to_sigma_sq(snr_db: float, p_s: float = 1.0) -> float:
-    """Noise variance sigma^2 (total, both components) for a given SNR in dB."""
-    return float(p_s) * 10.0 ** (-float(snr_db) / 10.0)
+def snr_to_sigma_sq(snr_db: float) -> float:
+    """Noise variance sigma^2 (total, both components) for a given SNR in dB
+    relative to the normalized transmit power ``P_S``."""
+    return P_S * 10.0 ** (-float(snr_db) / 10.0)
 
 
 def freq_response(h: np.ndarray, l_fft: int) -> np.ndarray:
@@ -77,8 +79,6 @@ def apply_channel(y: CplxNode, h: np.ndarray, sigma_sq: float,
     if y.ndim != 2:
         raise ValueError(f"apply_channel: y must be (B, T), got {y.shape}")
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim == 1:
-        h = np.broadcast_to(h, (y.shape[0], h.shape[0]))
     if h.ndim != 2 or h.shape[0] != y.shape[0]:
         raise ValueError(f"apply_channel: taps {h.shape} do not match batch {y.shape}")
     if sigma_sq < 0:

@@ -66,18 +66,8 @@ def _dataset(cfg_dict: dict) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    overrides = {"seed": args.seed}
-    if args.snr_db is not None:
-        vals = _float_list(args.snr_db)
-        if len(vals) != 1:
-            raise ValueError("train takes a single --snr-db value")
-        overrides["snr_db"] = vals[0]
-    if args.clip_ratio is not None:
-        vals = _float_list(args.clip_ratio)
-        if len(vals) != 1:
-            raise ValueError("train takes a single --clip-ratio value")
-        overrides["clip_ratio"] = vals[0]
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, {"seed": args.seed, "snr_db": args.snr_db,
+                                    "clip_ratio": args.clip_ratio})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -121,7 +111,8 @@ def cmd_eval(args) -> int:
     clips = _float_list(args.clip_ratio) if args.clip_ratio \
         else [float(tc["clip_ratio"])]
     taps_list = _int_list(args.taps) if args.taps else [int(tc["n_taps"])]
-    realizations = args.realizations or int(tc.get("realizations", 5))
+    realizations = int(tc.get("realizations", 5)) if args.realizations is None \
+        else args.realizations
     if model.cfg.variant == "direct" and clips != [math.inf]:
         print(f"note: the direct variant never clips; clip_ratio "
               f"{','.join(map(_fmt, clips))} is evaluated and reported as inf",
@@ -158,10 +149,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_chain_demo(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
+    cfg = load_config(args.config, {"seed": args.seed, "snr_db": args.snr_db,
+                                    "clip_ratio": args.clip_ratio})
     ocfg = cfg.model_config().ofdm
-    snr = _float_list(args.snr_db)[0] if args.snr_db else cfg.snr_db
-    rho = _float_list(args.clip_ratio)[0] if args.clip_ratio else cfg.clip_ratio
+    snr, rho = cfg.snr_db, cfg.clip_ratio
     sigma_sq = snr_to_sigma_sq(snr)
 
     rng = rng_stream(cfg.seed, 4)
@@ -214,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", type=Path, default=None, help="key=value config file")
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--out", type=Path, required=True)
-    tr.add_argument("--snr-db", default=None, help="training SNR (single value)")
-    tr.add_argument("--clip-ratio", default=None, help="clipping ratio (single value)")
+    tr.add_argument("--snr-db", type=float, default=None, help="training SNR")
+    tr.add_argument("--clip-ratio", type=float, default=None, help="clipping ratio (inf ok)")
     tr.set_defaults(fn=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint over condition sweeps")
@@ -238,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     cd.add_argument("--config", type=Path, default=None)
     cd.add_argument("--seed", type=int, default=None)
     cd.add_argument("--out", type=Path, required=True)
-    cd.add_argument("--snr-db", default=None)
-    cd.add_argument("--clip-ratio", default=None)
+    cd.add_argument("--snr-db", type=float, default=None)
+    cd.add_argument("--clip-ratio", type=float, default=None)
     cd.set_defaults(fn=cmd_chain_demo)
     return p
 

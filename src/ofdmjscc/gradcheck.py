@@ -125,7 +125,7 @@ def op_checks() -> list[tuple]:
         return ad.conv2d(x, w, stride=stride, pad=(1, 1))
 
     def batchnorm(stats):
-        return lambda x, gamma, beta: ad.batch_norm(x, gamma, beta, 1e-5, stats)[0]
+        return lambda x, gamma, beta: ad.batch_norm(x, gamma, beta, stats)[0]
 
     conv_shapes = ((2, 6, 5, 2), (3, 3, 2, 3))
     bn_inputs = [_rng(33).standard_normal((4, 5, 5, 3)), _rng(31).uniform(0.5, 1.5, 3),
@@ -189,7 +189,7 @@ def op_checks() -> list[tuple]:
         ("idft", ad.idft, [_rng(35).standard_normal((3, 8, 2))]),
         ("fir", lambda y: ad.fir(y, fir_taps), [_rng(27).standard_normal((2, 12, 2))]),
         # --- DSP composites: a complex input is a packed (..., 2) point -------
-        dsp("normalize_power", normalize_power, 36, (2, 10)),
+        dsp("normalize_power", lambda y: normalize_power(y)[0], 36, (2, 10)),
         dsp("clip", lambda y: clip(y, 1.0), 37, point=clip_point),
         dsp("assemble_disassemble", lambda g: cplx.concat(disassemble_packet(
             assemble_packet(g, pilots, ocfg, clip_ratio=1.2).tx, ocfg), axis=1),
@@ -221,6 +221,7 @@ def check_op(name: str, op: Callable[..., Node], inputs: Sequence[np.ndarray],
 
 
 def tiny_model_config(variant: str = "explicit") -> ModelConfig:
+    """The 8x8x1, l_fft 8 transceiver of the chain checks (and of the tests)."""
     return ModelConfig(variant=variant, image_h=8, image_w=8, image_c=1,
                        width1=4, width2=6, subnet_hidden=4, head_hidden=8, front_hidden=8,
                        ofdm=OfdmConfig(l_fft=8, l_cp=4, n_p=2, n_s=2, pilot_seed=7))

@@ -1,4 +1,4 @@
-"""Reconstruction quality metrics (plain numpy, not differentiated)."""
+"""Reconstruction quality metrics (plain numpy, not differentiated) of images in [0, 1]."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ PSNR_CAP_DB = 100.0
 
 _SSIM_WIN = 11
 _SSIM_SIGMA = 1.5
-_SSIM_K1 = 0.01
-_SSIM_K2 = 0.03
+_SSIM_C1 = 0.01 ** 2   # (K1 * L)^2 and (K2 * L)^2 for the data range L = 1
+_SSIM_C2 = 0.03 ** 2
 
 
-def psnr(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> float:
+def psnr(ref: np.ndarray, rec: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB, capped at 100 for (near-)exact match."""
     ref = np.asarray(ref, dtype=np.float64)
     rec = np.asarray(rec, dtype=np.float64)
@@ -21,7 +21,7 @@ def psnr(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> float:
     mse = float(np.mean((ref - rec) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return float(min(PSNR_CAP_DB, 10.0 * np.log10(data_range ** 2 / mse)))
+    return float(min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / mse)))
 
 
 def _gaussian_window(size: int = _SSIM_WIN, sigma: float = _SSIM_SIGMA) -> np.ndarray:
@@ -45,7 +45,7 @@ def _windowed_mean(img: np.ndarray) -> np.ndarray:
     return sum(g[j] * rows[:, :, j:j + wo] for j in range(g.size))
 
 
-def ssim_batch(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> np.ndarray:
+def ssim_batch(ref: np.ndarray, rec: np.ndarray) -> np.ndarray:
     """SSIM of each pair in an (N, H, W, C) batch, shape (N,).
 
     Row ``j`` equals ``ssim(ref[j], rec[j])`` bit for bit: every reduction
@@ -58,8 +58,6 @@ def ssim_batch(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> np.
     if ref.ndim != 4:
         raise ValueError(f"ssim_batch: expected (N, H, W, C), got {ref.shape}")
 
-    c1 = (_SSIM_K1 * data_range) ** 2
-    c2 = (_SSIM_K2 * data_range) ** 2
     n, h, w, nc = ref.shape
     vals = np.empty((n, nc))
     for c in range(nc):
@@ -75,13 +73,13 @@ def ssim_batch(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> np.
             vx = _windowed_mean(x * x) - mx * mx
             vy = _windowed_mean(y * y) - my * my
             vxy = _windowed_mean(x * y) - mx * my
-        num = (2 * mx * my + c1) * (2 * vxy + c2)
-        den = (mx * mx + my * my + c1) * (vx + vy + c2)
+        num = (2 * mx * my + _SSIM_C1) * (2 * vxy + _SSIM_C2)
+        den = (mx * mx + my * my + _SSIM_C1) * (vx + vy + _SSIM_C2)
         vals[:, c] = (num / den).reshape(n, -1).mean(axis=1)
     return vals.mean(axis=1)
 
 
-def ssim(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> float:
+def ssim(ref: np.ndarray, rec: np.ndarray) -> float:
     """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5).
 
     Channels are averaged. Images smaller than the window fall back to global
@@ -94,7 +92,7 @@ def ssim(ref: np.ndarray, rec: np.ndarray, data_range: float = 1.0) -> float:
         rec = rec[:, :, None]
     if ref.ndim != 3:
         raise ValueError(f"ssim: expected (H, W) or (H, W, C), got {ref.shape}")
-    return float(ssim_batch(ref[None], rec[None], data_range)[0])
+    return float(ssim_batch(ref[None], rec[None])[0])
 
 
 def papr_ccdf(papr_db_values: np.ndarray, thresholds_db: np.ndarray) -> np.ndarray:

@@ -31,10 +31,10 @@ from . import autodiff as ad
 from . import cplx
 from .autodiff import Node
 from .cplx import CplxNode
-from .channel import apply_channel, awgn
+from .channel import apply_channel
 from .nn import BatchNorm, Conv2d, Dense
 from .ofdm import OfdmConfig, TxPacket, assemble_packet, disassemble_packet, \
-    make_pilots, normalize_with_gain
+    make_pilots, normalize_power
 from .receiver import equalize_mmse, estimate_channel_mmse
 
 VARIANTS = ("direct", "implicit", "explicit")
@@ -313,14 +313,13 @@ class JsccModel:
 
     def forward(self, x: np.ndarray, taps: np.ndarray, sigma_sq: float,
                 clip_ratio: float = math.inf, train: bool = False,
-                rng: np.random.Generator | None = None,
                 noise: np.ndarray | None = None) -> tuple[Node, TxPacket]:
         """Run the full chain on a batch of images.
 
         ``taps`` is the per-image channel realization (B, n_taps); ``noise``
-        optionally fixes the additive noise (complex, received-signal shape),
-        otherwise it is drawn from ``rng``. Returns the reconstruction node
-        and the transmitted packet (for power/PAPR reporting).
+        is the additive noise (complex, (B, ``rx_len``)), required when
+        ``sigma_sq > 0``. Returns the reconstruction node and the transmitted
+        packet (for power/PAPR reporting).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != (self.cfg.image_h, self.cfg.image_w,
@@ -332,7 +331,7 @@ class JsccModel:
         cfg = self.cfg.ofdm
 
         if self.cfg.variant == "direct":   # no OFDM frame, so nothing to clip
-            tx, gain = normalize_with_gain(cplx.reshape(grid, (b, cfg.n_s * cfg.l_fft)))
+            tx, gain = normalize_power(cplx.reshape(grid, (b, cfg.n_s * cfg.l_fft)))
             pkt = TxPacket(tx=tx, preclip=tx, gain=gain.value)
         else:
             pkt = assemble_packet(grid, self.pilots, cfg, clip_ratio)
@@ -340,9 +339,7 @@ class JsccModel:
         rx = apply_channel(pkt.tx, taps, 0.0)
         if sigma_sq > 0.0:
             if noise is None:
-                if rng is None:
-                    raise ValueError("forward: rng or noise required when sigma_sq > 0")
-                noise = awgn(rng, rx.shape, sigma_sq)
+                raise ValueError("forward: noise required when sigma_sq > 0")
             rx = cplx.add(rx, cplx.const(noise))
 
         if self.cfg.variant == "direct":

@@ -14,6 +14,7 @@ from . import autodiff as ad
 from .autodiff import Node
 
 INIT_STD = 0.02
+BN_MOMENTUM = 0.9   # running buffer <- BN_MOMENTUM * buffer + (1 - BN_MOMENTUM) * batch stat
 
 
 def _init_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
@@ -34,18 +35,18 @@ class Dense:
 
 
 class Conv2d:
-    """3x3-style convolution over (B, H, W, C) with integer stride/padding.
+    """3x3-style convolution over (B, H, W, C) with integer stride and
+    "same" padding ``((kh - 1) // 2, (kw - 1) // 2)``.
 
     ``bias=False`` for convolutions feeding a BatchNorm (a bias there is
     cancelled exactly by the mean subtraction).
     """
 
     def __init__(self, name: str, kh: int, kw: int, c_in: int, c_out: int,
-                 rng: np.random.Generator, stride: int = 1,
-                 pad: tuple[int, int] | None = None, bias: bool = True):
+                 rng: np.random.Generator, stride: int = 1, bias: bool = True):
         self.name = name
         self.stride = stride
-        self.pad = ((kh - 1) // 2, (kw - 1) // 2) if pad is None else pad
+        self.pad = ((kh - 1) // 2, (kw - 1) // 2)
         self.w = ad.leaf(_init_normal(rng, (kh, kw, c_in, c_out)), op="param")
         self.b = ad.leaf(np.zeros(c_out), op="param") if bias else None
 
@@ -64,27 +65,24 @@ class BatchNorm:
     """Per-channel (last axis) batch normalization.
 
     Training mode normalizes with biased batch statistics over all leading
-    axes and updates running buffers (momentum 0.9) as a side effect; eval
+    axes and updates running buffers (``BN_MOMENTUM``) as a side effect; eval
     mode uses the stored buffers only, so it is deterministic and idempotent.
     ``gamma_init=0`` gives an exact-zero output at initialization, used for
     residual branches that must start as the identity.
     """
 
-    def __init__(self, name: str, channels: int, momentum: float = 0.9,
-                 eps: float = 1e-5, gamma_init: float = 1.0):
+    def __init__(self, name: str, channels: int, gamma_init: float = 1.0):
         self.name = name
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = ad.leaf(np.full(channels, float(gamma_init)), op="param")
         self.beta = ad.leaf(np.zeros(channels), op="param")
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
     def __call__(self, x: Node, train: bool) -> Node:
-        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps,
+        out, mean, var = ad.batch_norm(x, self.gamma, self.beta,
                                        None if train else (self.running_mean, self.running_var))
         if train:
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean = m * self.running_mean + (1 - m) * mean
             self.running_var = m * self.running_var + (1 - m) * var
         return out

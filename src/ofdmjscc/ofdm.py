@@ -92,17 +92,13 @@ def make_pilots(seed: int, n_p: int, l_fft: int) -> np.ndarray:
     return np.tile(row, (n_p, 1))
 
 
-def normalize_power(y: CplxNode) -> CplxNode:
-    """Scale to unit average power. 1-D input is treated as one signal;
-    otherwise the leading axis indexes independent signals."""
-    return normalize_with_gain(y)[0]
+def normalize_power(y: CplxNode) -> tuple[CplxNode, Node]:
+    """Scale each signal (indexed by the leading axis) to unit average power.
 
-
-def normalize_with_gain(y: CplxNode) -> tuple[CplxNode, Node]:
-    """:func:`normalize_power` and its per-row gain node 1/sqrt(mean |y|^2)."""
-    if y.ndim == 1:
-        out, gain = normalize_with_gain(cplx.reshape(y, (1,) + y.shape))
-        return cplx.reshape(out, y.shape), gain
+    Returns the scaled signals and their per-row gain node 1/sqrt(mean |y|^2).
+    """
+    if y.ndim < 2:
+        raise ValueError(f"normalize_power: need (B, ...) signals, got {y.shape}")
     p = ad.mul_const(ad.sum_axes(cplx.abs2(y), tuple(range(1, y.ndim))),
                      1.0 / math.prod(y.shape[1:]))
     if np.any(p.value == 0.0):
@@ -111,8 +107,8 @@ def normalize_with_gain(y: CplxNode) -> tuple[CplxNode, Node]:
     return cplx.scale_first(y, gain), gain
 
 
-def clip(y: CplxNode, rho: float, p_s: float = P_S) -> CplxNode:
-    """Amplitude clipping at threshold ``rho * sqrt(p_s)``; phase preserved.
+def clip(y: CplxNode, rho: float) -> CplxNode:
+    """Amplitude clipping at threshold ``rho * sqrt(P_S)``; phase preserved.
 
     ``rho = inf`` is the identity. Gradients follow the exact Jacobian:
     identity below threshold, ``(t/A)(I - a a^T / A^2)`` above it.
@@ -121,7 +117,7 @@ def clip(y: CplxNode, rho: float, p_s: float = P_S) -> CplxNode:
         return y
     if not (rho > 0.0):
         raise ValueError(f"clip: rho must be > 0 or inf, got {rho}")
-    t = rho * math.sqrt(p_s)
+    t = rho * math.sqrt(P_S)
     s = ad.clip_scale(cplx.abs2(y), t)
     return cplx.mul_real(y, s)
 
@@ -163,7 +159,7 @@ def assemble_packet(grid: CplxNode, pilots: np.ndarray, cfg: OfdmConfig,
     b = grid.shape[0]
     prow = cplx.const(np.broadcast_to(pilots, (b,) + pilots.shape))
     waves = add_cp(idft(cplx.concat([prow, grid], axis=1)), cfg.l_cp)
-    norm, gain = normalize_with_gain(cplx.reshape(waves, (b, cfg.packet_len)))
+    norm, gain = normalize_power(cplx.reshape(waves, (b, cfg.packet_len)))
     return TxPacket(tx=clip(norm, clip_ratio), preclip=norm, gain=gain.value)
 
 

@@ -31,6 +31,7 @@ from .ofdm import papr_db
 
 DIVERGENCE_LOSS = 1e8
 EVAL_BATCH = 16   # (image, realization) pairs per evaluation forward pass
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.5, 0.999, 1e-8
 ADAM_BLOCK = 32768  # elements per block of the Adam update (fits in L2 with its operands)
 
 
@@ -49,7 +50,7 @@ def mse_loss(pred: Node, target: np.ndarray) -> Node:
 
 
 class Adam:
-    """ADAM with (beta1, beta2) = (0.5, 0.999) defaults and eps outside the root.
+    """ADAM with betas ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` outside the root.
 
     ``step`` updates the moments in place and computes each parameter's new
     value in blocks of ``ADAM_BLOCK`` elements through two scratch buffers,
@@ -58,10 +59,8 @@ class Adam:
     result does not depend on the block size.
     """
 
-    def __init__(self, params: list[tuple[str, Node]], beta1: float = 0.5,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[tuple[str, Node]]):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros(p.value.shape) for _, p in self.params]
         self.v = [np.zeros(p.value.shape) for _, p in self.params]
@@ -69,7 +68,7 @@ class Adam:
 
     def step(self, grads: dict[Node, np.ndarray], lr: float) -> None:
         self.step_count += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
         for i, (name, node) in enumerate(self.params):
@@ -187,8 +186,9 @@ def train(model: JsccModel, images: np.ndarray, tcfg: TrainConfig,
                 else tcfg.snr_db
             sigma_sq = snr_to_sigma_sq(snr)
             taps = sample_channel(rng, tcfg.n_taps, tcfg.gamma, batch=len(idx))
+            noise = awgn(rng, (len(idx), model.rx_len), sigma_sq) if sigma_sq > 0.0 else None
             recon, _ = model.forward(batch, taps, sigma_sq, tcfg.clip_ratio,
-                                     train=True, rng=rng)
+                                     train=True, noise=noise)
             loss = mse_loss(recon, batch)
             lv = float(loss.value)
             if not math.isfinite(lv) or lv > DIVERGENCE_LOSS:

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ofdmjscc.model import ModelConfig
+import ofdmjscc.autodiff as ad
+from ofdmjscc import cplx
+from ofdmjscc.gradcheck import tiny_model_config
 from ofdmjscc.ofdm import OfdmConfig
+
+tiny_model_cfg = tiny_model_config   # the transceiver of the gradcheck chain checks
 
 
 @pytest.fixture
@@ -17,10 +21,13 @@ def toy_ofdm():
     return OfdmConfig(l_fft=16, l_cp=12, n_p=2, n_s=4)
 
 
-def tiny_model_cfg(variant: str) -> ModelConfig:
-    return ModelConfig(variant=variant, image_h=8, image_w=8, image_c=1,
-                       width1=4, width2=6, subnet_hidden=4, head_hidden=8, front_hidden=8,
-                       ofdm=OfdmConfig(l_fft=8, l_cp=4, n_p=2, n_s=2))
+def cnode(z):
+    """A complex array as a CplxNode over two fresh leaves."""
+    return cplx.CplxNode(ad.leaf(z.real.copy()), ad.leaf(z.imag.copy()))
+
+
+def rand_cplx(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @st.composite

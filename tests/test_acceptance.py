@@ -15,14 +15,12 @@ budgeted to run in well under thirty minutes on a laptop CPU.
 import csv
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ofdmjscc import cplx
-from ofdmjscc.channel import apply_channel, freq_response, sample_channel, \
-    snr_to_sigma_sq
+from ofdmjscc.channel import apply_channel, freq_response, sample_channel
 from ofdmjscc.cli import main
 from ofdmjscc.config import ExperimentConfig
 from ofdmjscc.data import synth_dataset

@@ -5,20 +5,15 @@ prefix buys."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ofdmjscc.autodiff as ad
-from ofdmjscc import cplx
 from ofdmjscc.channel import (apply_channel, awgn, freq_response, power_profile,
                               sample_channel, snr_to_sigma_sq)
 from ofdmjscc.ofdm import assemble_packet, disassemble_packet, make_pilots
 
-from conftest import ofdm_geometry
-
-
-def _cnode(z):
-    return cplx.CplxNode(ad.leaf(z.real.copy()), ad.leaf(z.imag.copy()))
+from conftest import cnode, ofdm_geometry
 
 
 def test_power_profile_matches_loop_oracle():
@@ -70,7 +65,7 @@ def test_apply_channel_is_leading_aligned_convolution(rng):
     t_len, n_taps = 20, 4
     y = rng.standard_normal((2, t_len)) + 1j * rng.standard_normal((2, t_len))
     h = sample_channel(np.random.default_rng(3), n_taps, 4.0, batch=2)
-    out = apply_channel(_cnode(y), h, sigma_sq=0.0).value
+    out = apply_channel(cnode(y), h, sigma_sq=0.0).value
     ref = np.zeros_like(y)
     for b in range(2):
         for t in range(t_len):
@@ -82,15 +77,21 @@ def test_apply_channel_is_leading_aligned_convolution(rng):
 
 def test_apply_channel_identity_tap():
     y = np.exp(1j * np.linspace(0, 5, 16))[None]
-    out = apply_channel(_cnode(y), np.array([[1.0 + 0j]]), 0.0).value
+    out = apply_channel(cnode(y), np.array([[1.0 + 0j]]), 0.0).value
     assert np.allclose(out, y, atol=0)
+
+
+def test_apply_channel_rejects_1d_taps():
+    y = np.ones((2, 16), dtype=complex)
+    with pytest.raises(ValueError, match="taps"):
+        apply_channel(cnode(y), np.array([1.0 + 0j, 0.5j]), 0.0)
 
 
 def test_noise_statistics():
     rng = np.random.default_rng(21)
     sigma_sq = 0.25
     y = np.zeros((400, 64), dtype=complex)
-    out = apply_channel(_cnode(y), np.ones((400, 1), dtype=complex),
+    out = apply_channel(cnode(y), np.ones((400, 1), dtype=complex),
                         sigma_sq, rng=rng).value
     assert abs(np.mean(np.abs(out) ** 2) - sigma_sq) < 0.01
     assert abs(np.var(out.real) - sigma_sq / 2) < 0.01
@@ -116,7 +117,7 @@ def test_cyclic_prefix_diagonalizes_channel(toy_ofdm, rng):
     grid = (rng.standard_normal((2, cfg.n_s, cfg.l_fft))
             + 1j * rng.standard_normal((2, cfg.n_s, cfg.l_fft)))
     pilots = make_pilots(cfg.pilot_seed, cfg.n_p, cfg.l_fft)
-    pkt = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=math.inf)
+    pkt = assemble_packet(cnode(grid), pilots, cfg, clip_ratio=math.inf)
     h = sample_channel(np.random.default_rng(9), 8, 4.0, batch=2)  # 8 <= l_cp+1
     rx = apply_channel(pkt.tx, h, sigma_sq=0.0)
     pilot_rx, data_rx = disassemble_packet(rx, cfg)
@@ -134,7 +135,7 @@ def test_channel_longer_than_prefix_breaks_diagonalization():
     cfg = OfdmConfig(l_fft=16, l_cp=2, n_p=1, n_s=1)
     grid = (rng.standard_normal((1, 1, 16)) + 1j * rng.standard_normal((1, 1, 16)))
     pilots = make_pilots(cfg.pilot_seed, cfg.n_p, cfg.l_fft)
-    pkt = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=math.inf)
+    pkt = assemble_packet(cnode(grid), pilots, cfg, clip_ratio=math.inf)
     h = sample_channel(np.random.default_rng(9), 8, 4.0, batch=1)  # 8 > l_cp+1
     rx = apply_channel(pkt.tx, h, sigma_sq=0.0)
     _, data_rx = disassemble_packet(rx, cfg)
@@ -165,7 +166,7 @@ def test_per_subcarrier_identity_on_random_geometries(geometry, data):
     grid = rng.standard_normal((b, cfg.n_s, cfg.l_fft)) \
         + 1j * rng.standard_normal((b, cfg.n_s, cfg.l_fft))
     pilots = make_pilots(cfg.pilot_seed, cfg.n_p, cfg.l_fft)
-    pkt = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=math.inf)
+    pkt = assemble_packet(cnode(grid), pilots, cfg, clip_ratio=math.inf)
     h = sample_channel(rng, n_taps, 4.0, batch=b)
     rx_p, rx_d = disassemble_packet(apply_channel(pkt.tx, h, sigma_sq=0.0), cfg)
     tx_p, tx_d = disassemble_packet(pkt.tx, cfg)

@@ -2,14 +2,15 @@
 (plus one subprocess check of the installed console script)."""
 
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ofdmjscc.autodiff as ad
-from ofdmjscc.cli import CHAIN_HEADER, METRICS_HEADER, TRAIN_LOSS_HEADER, main
+from ofdmjscc.cli import CHAIN_HEADER, METRICS_HEADER, TRAIN_LOSS_HEADER, build_parser, main
 from ofdmjscc.config import (ExperimentConfig, format_config, load_config,
                              parse_config_text)
 from ofdmjscc.model import ModelConfig
@@ -176,6 +177,26 @@ def test_cli_eval_missing_checkpoint_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_eval_zero_realizations_rejected(tmp_path, tiny_cfg_file, capsys):
+    # 0 is a value, not "use the checkpoint default": evaluate must see and reject it
+    run = _train(tmp_path, tiny_cfg_file)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.jscc"),
+               "--out", str(tmp_path / "ev"), "--realizations", "0"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "chain-demo"])
+@pytest.mark.parametrize("flag", ["--snr-db", "--clip-ratio"])
+def test_cli_single_value_flags_reject_lists(tmp_path, command, flag):
+    # only eval sweeps lists; elsewhere a list must not silently become its first value
+    with pytest.raises(SystemExit):
+        main([command, "--out", str(tmp_path), flag, "5,10"])
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_chain_demo_perfect_conditions(tmp_path, tiny_cfg_file):
     out = tmp_path / "demo"
     rc = main(["chain-demo", "--config", str(tiny_cfg_file), "--out", str(out),
@@ -222,6 +243,23 @@ def test_cli_rejects_unknown_arguments():
         main(["train", "--out", "/tmp/x", "--frobnicate"])
     with pytest.raises(SystemExit):
         main([])  # a subcommand is required
+
+
+def _readme_commands() -> list[str]:
+    """Every ``ofdmjscc ...`` line of the README's "Command line" code block,
+    with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.strip() for line in block.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("ofdmjscc ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert [shlex.split(c)[1] for c in commands] == ["train", "eval", "chain-demo",
+                                                     "gradcheck"]
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])   # SystemExit if stale
 
 
 def test_console_script_installed():

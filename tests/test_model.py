@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
-from ofdmjscc.model import JsccModel, ModelConfig, build_model
+from ofdmjscc.channel import awgn
+from ofdmjscc.model import ModelConfig, build_model
 from ofdmjscc.nn import BatchNorm, Conv2d, Dense
 from ofdmjscc.ofdm import OfdmConfig
 from ofdmjscc.receiver import equalize_mmse, estimate_channel_mmse
@@ -44,7 +45,7 @@ def test_batchnorm_train_statistics(rng):
     # independent reference with biased batch moments
     mu = x.mean(axis=(0, 1, 2))
     var = x.var(axis=(0, 1, 2))
-    ref = (x - mu) / np.sqrt(var + bn.eps)
+    ref = (x - mu) / np.sqrt(var + ad.BN_EPS)
     assert np.allclose(out, ref, atol=1e-12)
 
 
@@ -65,7 +66,7 @@ def test_batchnorm_eval_idempotent_and_buffer_based(rng):
     a = bn(ad.leaf(x), train=False).value
     b = bn(ad.leaf(x), train=False).value
     assert np.array_equal(a, b)
-    ref = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    ref = (x - bn.running_mean) / np.sqrt(bn.running_var + ad.BN_EPS)
     assert np.allclose(a, ref, atol=1e-13)
 
 
@@ -86,11 +87,11 @@ def test_batch_norm_rejects_bad_parameter_shapes():
     three, two = ad.leaf(np.ones(3)), ad.leaf(np.ones(2))
     for gamma, beta in ((two, three), (three, two), (ad.leaf(np.ones((1, 3))), three)):
         with pytest.raises(ValueError, match="per-channel"):
-            ad.batch_norm(x, gamma, beta, 1e-5)
+            ad.batch_norm(x, gamma, beta)
     with pytest.raises(ValueError, match="per-channel"):
-        ad.batch_norm(x, three, three, 1e-5, (np.zeros(3), np.ones(2)))
+        ad.batch_norm(x, three, three, (np.zeros(3), np.ones(2)))
     with pytest.raises(ValueError, match=">= 2 samples"):
-        ad.batch_norm(ad.leaf(np.zeros((1, 3))), three, three, 1e-5)
+        ad.batch_norm(ad.leaf(np.zeros((1, 3))), three, three)
 
 
 def _scale_channels(x, s):
@@ -101,7 +102,7 @@ def _scale_channels(x, s):
     return ad.mul(x, t)
 
 
-def _batch_norm_reference(x, gamma, beta, eps, stats):
+def _batch_norm_reference(x, gamma, beta, stats):
     """The composite of elementwise engine ops that ``batch_norm`` fuses."""
     red = tuple(range(x.value.ndim - 1))
     if stats is None:
@@ -109,10 +110,10 @@ def _batch_norm_reference(x, gamma, beta, eps, stats):
         mean = ad.mul_const(ad.sum_axes(x, red), 1.0 / n)
         xc = ad.bias_last(x, ad.mul_const(mean, -1.0))
         var = ad.mul_const(ad.sum_axes(ad.mul(xc, xc), red), 1.0 / n)
-        inv = ad.recip(ad.sqrt(ad.add_const(var, eps)))
+        inv = ad.recip(ad.sqrt(ad.add_const(var, ad.BN_EPS)))
     else:
         xc = ad.bias_last(x, ad.constant(-stats[0]))
-        inv = ad.constant(1.0 / np.sqrt(stats[1] + eps))
+        inv = ad.constant(1.0 / np.sqrt(stats[1] + ad.BN_EPS))
     return ad.bias_last(_scale_channels(xc, ad.mul(gamma, inv)), beta), xc.value, inv.value
 
 
@@ -132,7 +133,7 @@ def test_batch_norm_matches_composite(lead, channels, train, zero_gamma, seed):
 
     def run(op):
         leaves = [ad.leaf(v) for v in (x, gamma, beta)]
-        out = op(*leaves, 1e-5, stats)
+        out = op(*leaves, stats)
         grads = ad.backward(ad.sum_all(ad.mul(out[0], ad.constant(g))))
         return out, [grads[n] for n in leaves]
 
@@ -224,8 +225,8 @@ def _run_forward(variant, rng, train=False, sigma_sq=0.1, clip_ratio=math.inf):
     model = build_model(cfg, seed=1)
     x = rng.random((3, 8, 8, 1))
     taps = np.ones((3, 1), dtype=complex)
-    recon, pkt = model.forward(x, taps, sigma_sq, clip_ratio, train=train,
-                               rng=np.random.default_rng(0))
+    noise = awgn(np.random.default_rng(0), (3, model.rx_len), sigma_sq)
+    recon, pkt = model.forward(x, taps, sigma_sq, clip_ratio, train=train, noise=noise)
     return model, x, recon, pkt
 
 
@@ -274,7 +275,7 @@ def test_forward_requires_noise_source(rng):
     x = rng.random((2, 8, 8, 1))
     taps = np.ones((2, 1), dtype=complex)
     with pytest.raises(ValueError):
-        model.forward(x, taps, sigma_sq=0.1)  # no rng, no fixed noise
+        model.forward(x, taps, sigma_sq=0.1)  # no noise
 
 
 def test_forward_rejects_wrong_image_shape(rng):
@@ -311,7 +312,8 @@ def test_gradients_reach_every_parameter(rng):
     model = build_model(cfg, seed=4)
     x = rng.random((4, 8, 8, 1))
     taps = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / 2
-    recon, _ = model.forward(x, taps, 0.05, train=True, rng=np.random.default_rng(1))
+    noise = awgn(np.random.default_rng(1), (4, model.rx_len), 0.05)
+    recon, _ = model.forward(x, taps, 0.05, train=True, noise=noise)
     grads = ad.backward(mse_loss(recon, x))
     missing = [n for n, p in model.params() if p not in grads]
     assert missing == []
@@ -325,5 +327,6 @@ def test_training_graph_size(variant, limit, rng):
     model = build_model(tiny_model_cfg(variant), seed=2)
     x = rng.random((16, 8, 8, 1))
     taps = (rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))) / 2
-    recon, _ = model.forward(x, taps, 0.1, train=True, rng=np.random.default_rng(1))
+    noise = awgn(np.random.default_rng(1), (16, model.rx_len), 0.1)
+    recon, _ = model.forward(x, taps, 0.1, train=True, noise=noise)
     assert len(ad._reachable(mse_loss(recon, x))) <= limit

@@ -16,15 +16,7 @@ from ofdmjscc.ofdm import (OfdmConfig, P_S, add_cp, assemble_packet,
                            disassemble_packet, idft, make_pilots,
                            normalize_power, papr_db, remove_cp)
 
-from conftest import ofdm_geometry
-
-
-def _cnode(z):
-    return cplx.CplxNode(ad.leaf(z.real.copy()), ad.leaf(z.imag.copy()))
-
-
-def _rand_cplx(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from conftest import cnode, ofdm_geometry, rand_cplx
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +26,8 @@ def _rand_cplx(rng, shape):
 def test_dft_matches_direct_summation(rng):
     # oracle: X[k] = (1/sqrt(N)) sum_n x[n] exp(-2 pi j n k / N), by loop
     n_fft = 8
-    x = _rand_cplx(rng, (3, n_fft))
-    got = dft(_cnode(x))
+    x = rand_cplx(rng, (3, n_fft))
+    got = dft(cnode(x))
     ref = np.zeros_like(x)
     for k in range(n_fft):
         for n in range(n_fft):
@@ -52,15 +44,15 @@ def test_dft_matrix_is_unitary_and_symmetric():
 
 
 def test_idft_inverts_dft(rng):
-    x = _rand_cplx(rng, (2, 16))
-    back = idft(dft(_cnode(x)))
+    x = rand_cplx(rng, (2, 16))
+    back = idft(dft(cnode(x)))
     assert np.allclose(back.value, x, atol=1e-13)
 
 
 def test_parseval(rng):
     # unitary transform preserves energy exactly up to round-off
-    x = _rand_cplx(rng, (4, 32))
-    y = dft(_cnode(x)).value
+    x = rand_cplx(rng, (4, 32))
+    y = dft(cnode(x)).value
     assert np.allclose(np.sum(np.abs(y) ** 2, axis=1),
                        np.sum(np.abs(x) ** 2, axis=1), rtol=1e-13)
 
@@ -70,8 +62,8 @@ def test_parseval(rng):
 # ---------------------------------------------------------------------------
 
 def test_cp_round_trip(rng):
-    x = _rand_cplx(rng, (2, 3, 8))
-    node = _cnode(x)
+    x = rand_cplx(rng, (2, 3, 8))
+    node = cnode(x)
     with_cp = add_cp(node, 4)
     assert with_cp.value.shape == (2, 3, 12)
     assert np.array_equal(with_cp.value[..., :4], x[..., -4:])  # prefix = tail
@@ -123,9 +115,12 @@ def test_pilots_unit_modulus():
 # ---------------------------------------------------------------------------
 
 def test_normalize_power_unit_mean(rng):
-    z = 3.7 * _rand_cplx(rng, (4, 50))
-    out = normalize_power(_cnode(z)).value
+    z = 3.7 * rand_cplx(rng, (4, 50))
+    out, gain = normalize_power(cnode(z))
+    out = out.value
     assert np.allclose(np.mean(np.abs(out) ** 2, axis=1), 1.0, rtol=1e-12)
+    assert np.allclose(gain.value, 1.0 / np.sqrt(np.mean(np.abs(z) ** 2, axis=1)),
+                       rtol=1e-12)
     # per-packet scaling: relative phases/ratios preserved within each row
     assert np.allclose(out[0] / z[0], (out[0] / z[0])[0], rtol=1e-12)
 
@@ -133,22 +128,28 @@ def test_normalize_power_unit_mean(rng):
 def test_normalize_power_zero_input_rejected():
     z = np.zeros((1, 8), dtype=complex)
     with pytest.raises(ValueError):
-        normalize_power(_cnode(z))
+        normalize_power(cnode(z))
+
+
+def test_normalize_power_rejects_1d_input(rng):
+    # one signal must still come as a (1, T) batch, not be split per sample
+    with pytest.raises(ValueError, match="normalize_power"):
+        normalize_power(cnode(rand_cplx(rng, 8)))
 
 
 def test_clip_bound_is_exact(rng):
     rho = 1.3
-    z = 2.0 * _rand_cplx(rng, (8, 100))
-    z = normalize_power(_cnode(z))
+    z = 2.0 * rand_cplx(rng, (8, 100))
+    z, _ = normalize_power(cnode(z))
     out = clip(z, rho).value
     assert np.abs(out).max() <= rho * math.sqrt(P_S)  # no ULP excursions allowed
 
 
 def test_clip_below_threshold_is_identity_and_phase_kept(rng):
     rho = 1.2
-    z = _rand_cplx(rng, (1, 64))
+    z = rand_cplx(rng, (1, 64))
     z /= math.sqrt(np.mean(np.abs(z) ** 2))
-    out = clip(_cnode(z), rho).value[0]
+    out = clip(cnode(z), rho).value[0]
     amp = np.abs(z[0])
     below = amp <= rho
     assert np.array_equal(out[below], z[0][below])
@@ -160,8 +161,8 @@ def test_clip_below_threshold_is_identity_and_phase_kept(rng):
 
 
 def test_clip_infinite_ratio_is_identity(rng):
-    z = _rand_cplx(rng, (2, 16))
-    node = _cnode(z)
+    z = rand_cplx(rng, (2, 16))
+    node = cnode(z)
     assert clip(node, math.inf) is node
 
 
@@ -182,9 +183,9 @@ def test_papr_known_values():
 
 def test_packet_layout_and_round_trip(toy_ofdm, rng):
     cfg = toy_ofdm
-    grid = _rand_cplx(rng, (2, cfg.n_s, cfg.l_fft))
+    grid = rand_cplx(rng, (2, cfg.n_s, cfg.l_fft))
     pilots = make_pilots(cfg.pilot_seed, cfg.n_p, cfg.l_fft)
-    pkt = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=math.inf)
+    pkt = assemble_packet(cnode(grid), pilots, cfg, clip_ratio=math.inf)
     assert pkt.tx.value.shape == (2, cfg.packet_len)
     assert np.allclose(np.mean(np.abs(pkt.tx.value) ** 2, axis=1), 1.0, rtol=1e-12)
 
@@ -207,10 +208,10 @@ def test_packet_layout_and_round_trip(toy_ofdm, rng):
 
 def test_packet_clipping_reduces_papr(toy_ofdm, rng):
     cfg = toy_ofdm
-    grid = _rand_cplx(rng, (4, cfg.n_s, cfg.l_fft)) / math.sqrt(2)
+    grid = rand_cplx(rng, (4, cfg.n_s, cfg.l_fft)) / math.sqrt(2)
     pilots = make_pilots(cfg.pilot_seed, cfg.n_p, cfg.l_fft)
-    free = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=math.inf)
-    hard = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=1.0)
+    free = assemble_packet(cnode(grid), pilots, cfg, clip_ratio=math.inf)
+    hard = assemble_packet(cnode(grid), pilots, cfg, clip_ratio=1.0)
     assert np.all(papr_db(hard.tx.value) < papr_db(free.tx.value))
     assert np.abs(hard.tx.value).max() <= 1.0
     assert np.array_equal(hard.preclip.value, free.tx.value)
@@ -241,21 +242,21 @@ def test_config_validation():
 @given(ofdm_geometry())
 def test_dft_parseval_and_inverse_on_random_geometries(geometry):
     cfg, b, seed = geometry
-    x = _rand_cplx(np.random.default_rng(seed), (b, cfg.rows, cfg.l_fft))
-    y = dft(_cnode(x))
+    x = rand_cplx(np.random.default_rng(seed), (b, cfg.rows, cfg.l_fft))
+    y = dft(cnode(x))
     assert np.allclose(np.sum(np.abs(y.value) ** 2, axis=-1),
                        np.sum(np.abs(x) ** 2, axis=-1), rtol=1e-12, atol=0)
     assert np.allclose(idft(y).value, x, rtol=0, atol=1e-12)
-    assert np.allclose(dft(idft(_cnode(x))).value, x, rtol=0, atol=1e-12)
+    assert np.allclose(dft(idft(cnode(x))).value, x, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ofdm_geometry(), st.floats(0.3, 3.0))
 def test_packet_power_and_clip_bound_on_random_geometries(geometry, rho):
     cfg, b, seed = geometry
-    grid = _rand_cplx(np.random.default_rng(seed), (b, cfg.n_s, cfg.l_fft))
+    grid = rand_cplx(np.random.default_rng(seed), (b, cfg.n_s, cfg.l_fft))
     pilots = make_pilots(cfg.pilot_seed, cfg.n_p, cfg.l_fft)
-    pkt = assemble_packet(_cnode(grid), pilots, cfg, clip_ratio=rho)
+    pkt = assemble_packet(cnode(grid), pilots, cfg, clip_ratio=rho)
     pre = pkt.preclip.value
     assert pre.shape == (b, cfg.packet_len)
     assert np.allclose(np.mean(np.abs(pre) ** 2, axis=1), 1.0, rtol=1e-12, atol=0)
