@@ -2,12 +2,13 @@
 
 A small define-by-run engine: every operation returns a :class:`Node` holding
 the forward value, references to its parent nodes and a closure that computes
-vector-Jacobian products. :func:`backward` sweeps the graph in reverse
-topological order and accumulates gradients.
+vector-Jacobian products. :func:`backward` sweeps the graph once in
+descending node id, a reverse topological order, and returns the gradients of
+the nodes where the sweep stops (leaves, constants and ``no_grad`` nodes).
 
-Determinism contract: gradient contributions into a node are summed in a
-canonical order (sorted by consumer node id), so *any* valid topological
-order passed to :func:`backward` produces bitwise-identical gradients.
+Determinism contract: node ids increase in creation order, and the
+contributions into a node are summed as they arrive, in descending consumer
+id, so the same graph always gives bitwise-identical gradients.
 
 A complex signal is one float64 node whose trailing axis of 2 holds the
 (re, im) pair; the complex ops below (``conj_mul``, ``abs2``, ``dft``, ``fir``, ...)
@@ -74,7 +75,7 @@ class no_grad:
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "parents", "vjp", "op", "nid", "grad")
+    __slots__ = ("value", "parents", "vjp", "op", "nid")
 
     def __init__(self, value: np.ndarray, parents: tuple = (), vjp=None, op: str = "leaf"):
         self.value = value
@@ -82,7 +83,6 @@ class Node:
         self.vjp = vjp
         self.op = op
         self.nid = next(_ids)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple:
@@ -632,57 +632,37 @@ def _reachable(loss: Node) -> list[Node]:
     return [seen[k] for k in sorted(seen, reverse=True)]
 
 
-def backward(loss: Node, order: Sequence[Node] | None = None) -> dict[Node, np.ndarray]:
-    """Accumulate d(loss)/d(node) for every node reachable from ``loss``.
+def backward(loss: Node) -> dict[Node, np.ndarray]:
+    """d(loss)/d(node) for every reachable node that passes no gradient on.
 
-    Returns a map node -> gradient and also stores it on ``node.grad``
-    (overwriting anything from a previous sweep). ``order`` may supply an
-    alternative topological order (children before parents) for testing; the
-    result is bitwise-identical for any valid order.
+    Those are the leaves, constants and :class:`no_grad` nodes reached from
+    ``loss`` (``loss`` itself if it is one); intermediate gradients are not
+    returned, and each is freed once its VJP has run. One sweep in descending
+    node id: each contribution is added to its node's pending gradient as it
+    arrives, so the sum runs in descending consumer id.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-    canonical = _reachable(loss)
-    if order is None:
-        nodes = canonical
-    else:
-        nodes = list(order)
-        if {n.nid for n in nodes} != {n.nid for n in canonical} or len(nodes) != len(canonical):
-            raise ValueError("backward: order must cover exactly the reachable graph")
-        pos = {n.nid: i for i, n in enumerate(nodes)}
-        for n in nodes:
-            for p in _grad_parents(n):
-                if pos[p.nid] <= pos[n.nid]:
-                    raise ValueError("backward: order is not topological")
-
-    pending: dict[int, list[tuple[int, np.ndarray]]] = {
-        loss.nid: [(-1, np.ones(loss.value.shape))]}
+    pending: dict[int, np.ndarray] = {loss.nid: np.ones(loss.value.shape)}
     grads: dict[Node, np.ndarray] = {}
-    for node in nodes:
-        parts = pending.pop(node.nid, None)
-        if parts is None:
-            g = np.zeros(node.value.shape)
-        else:
-            parts.sort(key=lambda t: t[0], reverse=True)
-            g = parts[0][1]
-            for _, arr in parts[1:]:
-                g = g + arr
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != node.value.shape:
-                raise ValueError(f"backward: gradient shape {g.shape} != value shape "
-                                 f"{node.value.shape} at op {node.op!r}")
-        node.grad = g
-        grads[node] = g
-        if _grad_parents(node):
-            factor = _vjp_scale.get(node.op, 1.0)
-            pgrads = node.vjp(g)
-            if len(pgrads) != len(node.parents):
-                raise RuntimeError(f"backward: op {node.op!r} returned {len(pgrads)} "
-                                   f"gradients for {len(node.parents)} parents")
-            for p, pg in zip(node.parents, pgrads):
-                if factor != 1.0:
-                    pg = pg * factor
-                pending.setdefault(p.nid, []).append((node.nid, pg))
+    for node in _reachable(loss):
+        g = np.asarray(pending.pop(node.nid), dtype=np.float64)
+        if g.shape != node.value.shape:
+            raise ValueError(f"backward: gradient shape {g.shape} != value shape "
+                             f"{node.value.shape} at op {node.op!r}")
+        if not _grad_parents(node):
+            grads[node] = g
+            continue
+        factor = _vjp_scale.get(node.op, 1.0)
+        pgrads = node.vjp(g)
+        if len(pgrads) != len(node.parents):
+            raise RuntimeError(f"backward: op {node.op!r} returned {len(pgrads)} "
+                               f"gradients for {len(node.parents)} parents")
+        for p, pg in zip(node.parents, pgrads):
+            if factor != 1.0:
+                pg = pg * factor
+            prev = pending.get(p.nid)
+            pending[p.nid] = pg if prev is None else prev + pg
     return grads
 
 

@@ -45,12 +45,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _sweep(text: str | None, kind: type, flag: str, default) -> list:
+    """The comma-separated values given to ``flag``, else ``[kind(default)]``.
 
-
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    An empty list or an empty item raises ``ValueError``.
+    """
+    if text is None:
+        return [kind(default)]
+    items = [t.strip() for t in text.split(",")]
+    if not all(items):
+        raise ValueError(f"{flag}: empty item in {text!r}")
+    return [kind(t) for t in items]
 
 
 def _dataset(cfg_dict: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +112,9 @@ def cmd_eval(args) -> int:
     tc = ck["train_config"]
     _, test_images = _dataset(tc)
     seed = tc["seed"] if args.seed is None else args.seed
-    snrs = _float_list(args.snr_db) if args.snr_db else [float(tc["snr_db"])]
-    clips = _float_list(args.clip_ratio) if args.clip_ratio \
-        else [float(tc["clip_ratio"])]
-    taps_list = _int_list(args.taps) if args.taps else [int(tc["n_taps"])]
+    snrs = _sweep(args.snr_db, float, "--snr-db", tc["snr_db"])
+    clips = _sweep(args.clip_ratio, float, "--clip-ratio", tc["clip_ratio"])
+    taps_list = _sweep(args.taps, int, "--taps", tc["n_taps"])
     realizations = int(tc.get("realizations", 5)) if args.realizations is None \
         else args.realizations
     if model.cfg.variant == "direct" and clips != [math.inf]:

@@ -318,14 +318,18 @@ class JsccModel:
 
         ``taps`` is the per-image channel realization (B, n_taps); ``noise``
         is the additive noise (complex, (B, ``rx_len``)), required when
-        ``sigma_sq > 0``. Returns the reconstruction node and the transmitted
-        packet (for power/PAPR reporting).
+        ``sigma_sq > 0`` and rejected when ``sigma_sq == 0``. Returns the
+        reconstruction node and the transmitted packet (for power/PAPR
+        reporting).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != (self.cfg.image_h, self.cfg.image_w,
                                           self.cfg.image_c):
             raise ValueError(f"forward: expected (B, {self.cfg.image_h}, "
                              f"{self.cfg.image_w}, {self.cfg.image_c}), got {x.shape}")
+        if (noise is None) == (sigma_sq > 0.0):
+            raise ValueError(f"forward: noise must be given exactly when sigma_sq > 0 "
+                             f"(sigma_sq={sigma_sq}, noise given: {noise is not None})")
         grid = self.encode(ad.constant(x), train)
         b = x.shape[0]
         cfg = self.cfg.ofdm
@@ -337,9 +341,7 @@ class JsccModel:
             pkt = assemble_packet(grid, self.pilots, cfg, clip_ratio)
 
         rx = apply_channel(pkt.tx, taps, 0.0)
-        if sigma_sq > 0.0:
-            if noise is None:
-                raise ValueError("forward: noise required when sigma_sq > 0")
+        if noise is not None:
             rx = cplx.add(rx, cplx.const(noise))
 
         if self.cfg.variant == "direct":

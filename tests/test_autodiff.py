@@ -1,5 +1,6 @@
-"""Engine-level tests: forward values, hand-derived gradients, graph ordering,
-finite-difference harness sensitivity, and the documented error paths."""
+"""Engine-level tests: forward values, hand-derived gradients, the backward
+sweep's summation order and result set, finite-difference harness
+sensitivity, and the documented error paths."""
 
 import threading
 
@@ -247,68 +248,34 @@ def test_fd_noise_floor_accepts_structural_zero():
 
 
 # ---------------------------------------------------------------------------
-# ordering and determinism
+# summation order, result set and determinism
 # ---------------------------------------------------------------------------
 
-def _consumers(loss):
-    cons, seen, stack = {}, set(), [loss]
-    while stack:
-        n = stack.pop()
-        if n.nid in seen:
-            continue
-        seen.add(n.nid)
-        for p in n.parents:
-            cons.setdefault(p.nid, set()).add(n.nid)
-            stack.append(p)
-    return cons
+def test_fanout_sums_in_descending_consumer_id(rng):
+    # x feeds four consumers; its gradient is exactly ((k3 + k2) + k1) + k0
+    x = ad.leaf(rng.standard_normal(64))
+    ks = [rng.standard_normal(64) for _ in range(4)]
+    consumers = [ad.mul(x, ad.constant(k)) for k in ks]
+    total = consumers[0]
+    for c in consumers[1:]:
+        total = ad.add(total, c)
+    g = ad.backward(ad.sum_all(total))[x]
+    want = ((ks[3] + ks[2]) + ks[1]) + ks[0]
+    assert not np.array_equal(want, ((ks[0] + ks[1]) + ks[2]) + ks[3])  # order shows
+    assert np.array_equal(g, want)
 
 
-def _alt_topo_order(loss):
-    """A valid reverse-topological order that differs from descending-nid:
-    Kahn's algorithm picking the *smallest* ready nid first. Counts parent
-    slots with multiplicity so mul(x, x) style edges are handled."""
-    nodes, seen, stack = {}, set(), [loss]
-    pending = {}
-    while stack:
-        n = stack.pop()
-        if n.nid in seen:
-            continue
-        seen.add(n.nid)
-        nodes[n.nid] = n
-        for p in n.parents:
-            pending[p.nid] = pending.get(p.nid, 0) + 1
-            stack.append(p)
-    ready = sorted(nid for nid in nodes if pending.get(nid, 0) == 0)
-    order = []
-    while ready:
-        nid = ready.pop(0)
-        order.append(nodes[nid])
-        for p in nodes[nid].parents:
-            pending[p.nid] -= 1
-            if pending[p.nid] == 0:
-                ready.append(p.nid)
-                ready.sort()
-    return order
-
-
-def test_backward_is_bitwise_order_independent(rng):
-    # diamond-heavy graph: many parallel branches re-joining
-    x = ad.leaf(rng.standard_normal((5, 5)))
-    branches = [ad.mul_const(ad.mul(x, x), 0.3),
-                ad.relu(x),
-                ad.sigmoid(x),
-                ad.mul(x, ad.add_const(x, 2.0))]
-    total = branches[0]
-    for b in branches[1:]:
-        total = ad.add(total, b)
-    loss = ad.sum_all(ad.mul(total, total))
-
-    g_default = ad.backward(loss)[x]
-    alt = _alt_topo_order(loss)
-    default_order = sorted(alt, key=lambda n: n.nid, reverse=True)
-    assert [n.nid for n in alt] != [n.nid for n in default_order]
-    g_alt = ad.backward(loss, order=alt)[x]
-    assert np.array_equal(g_default, g_alt)  # bitwise, not approx
+def test_backward_returns_only_nodes_that_pass_nothing_on(rng):
+    x = ad.leaf(rng.standard_normal(3))
+    c = ad.constant(rng.standard_normal(3))
+    with ad.no_grad():
+        h = ad.relu(ad.leaf(rng.standard_normal(3)))
+    m = ad.mul(x, c)
+    s = ad.add(ad.mul(m, m), h)
+    loss = ad.sum_all(s)
+    g = ad.backward(loss)
+    assert g.keys() == {x, c, h}
+    assert not {m, s, loss} & g.keys()
 
 
 def test_backward_twice_same_graph_identical(rng):
@@ -381,16 +348,6 @@ def test_shape_mismatch_rejected(rng):
     b = ad.leaf(rng.standard_normal((3, 2)))
     with pytest.raises(ValueError):
         ad.add(a, b)
-
-
-def test_custom_order_validated(rng):
-    x = ad.leaf(rng.standard_normal(3))
-    loss = ad.sum_all(ad.mul(x, x))
-    full = sorted(_alt_topo_order(loss), key=lambda n: n.nid, reverse=True)
-    with pytest.raises(ValueError):
-        ad.backward(loss, order=full[:-1])  # missing a reachable node
-    with pytest.raises(ValueError):
-        ad.backward(loss, order=list(reversed(full)))  # parents before consumers
 
 
 def test_node_ids_strictly_increase(rng):

@@ -188,6 +188,19 @@ def test_cli_eval_zero_realizations_rejected(tmp_path, tiny_cfg_file, capsys):
     assert not (tmp_path / "ev" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("value", [",", "10,,1"])
+@pytest.mark.parametrize("flag", ["--snr-db", "--clip-ratio", "--taps"])
+def test_cli_eval_empty_sweep_item_rejected(tmp_path, tiny_cfg_file, capsys, flag, value):
+    # an empty sweep list or item must not evaluate fewer conditions than asked
+    run = _train(tmp_path, tiny_cfg_file)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.jscc"),
+               "--out", str(tmp_path / "ev"), flag, value])
+    assert rc == 1
+    assert f"error: {flag}: empty item" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "chain-demo"])
 @pytest.mark.parametrize("flag", ["--snr-db", "--clip-ratio"])
 def test_cli_single_value_flags_reject_lists(tmp_path, command, flag):

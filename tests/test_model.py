@@ -278,6 +278,15 @@ def test_forward_requires_noise_source(rng):
         model.forward(x, taps, sigma_sq=0.1)  # no noise
 
 
+def test_forward_rejects_noise_without_noise_power(rng):
+    # noise given at sigma_sq == 0 used to be dropped, returning the noiseless output
+    model = build_model(tiny_model_cfg("direct"), seed=0)
+    x = rng.random((2, 8, 8, 1))
+    taps = np.ones((2, 1), dtype=complex)
+    with pytest.raises(ValueError, match="noise"):
+        model.forward(x, taps, 0.0, noise=np.full((2, model.rx_len), 5.0 + 0j))
+
+
 def test_forward_rejects_wrong_image_shape(rng):
     model = build_model(tiny_model_cfg("direct"), seed=0)
     with pytest.raises(ValueError):
