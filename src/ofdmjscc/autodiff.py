@@ -507,12 +507,7 @@ def _phase(r: int, k: int, s: int, p: int, n: int) -> tuple[int, int, int, int]:
 
 
 def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> Node:
-    """2-D convolution. x: (B, H, W, Cin), w: (kh, kw, Cin, Cout).
-
-    The input gradient is a transposed convolution split by stride phase: each
-    phase (ry, rx) of the input is one GEMM of a window view over the output
-    gradient with the flipped sub-kernel ``w[ry::s, rx::s]``.
-    """
+    """2-D convolution. x: (B, H, W, Cin), w: (kh, kw, Cin, Cout); gx by ``_conv_transpose``."""
     if x.value.ndim != 4 or w.value.ndim != 4:
         raise ValueError(f"conv2d: need x(B,H,W,C), w(kh,kw,Cin,Cout); got {x.shape}, {w.shape}")
     B, H, W, Cin = x.value.shape
@@ -532,34 +527,47 @@ def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> 
     def fwd(xv, wv):
         return (cols @ wmat).reshape(B, Ho, Wo, Cout)
 
+    return record("conv2d", (x, w), fwd,
+                  lambda g: (_conv_transpose(g, w.value, s, pad, (H, W)),
+                             (cols.T @ g.reshape(B * Ho * Wo, Cout)).reshape(kh, kw, Cin, Cout)))
+
+
+def _conv_transpose(g: np.ndarray, w: np.ndarray, s: int, pad, hw) -> np.ndarray:
+    """The adjoint of ``conv2d(., w, s, pad)`` on an ``hw`` input, applied to ``g``: per
+    stride phase, one GEMM of a window view over ``g`` with the flipped ``w[ry::s, rx::s]``."""
+    B, (kh, kw, Cin, _) = g.shape[0], w.shape
+    out = np.zeros((B, *hw, Cin))
+    for ry in range(s):
+        ty, y0, my, top = _phase(ry, kh, s, pad[0], hw[0])
+        for rx in range(s):
+            tx, x0, mx, left = _phase(rx, kw, s, pad[1], hw[1])
+            if ty == 0 or tx == 0 or my == 0 or mx == 0:
+                continue       # no tap reaches these rows: they stay 0
+            gcols = _im2col(g, ty, tx, 1, top, left, my + ty - 1, mx + tx - 1)
+            sub = w[ry::s, rx::s][::-1, ::-1].transpose(0, 1, 3, 2)
+            out[:, y0::s, x0::s] = (gcols @ sub.reshape(-1, Cin)).reshape(B, my, mx, Cin)
+    return out
+
+
+def conv_up2x(x: Node, w: Node) -> Node:
+    """``conv2d(nearest 2x upsampling of x, w, pad=(1, 1))``, computed on x (B, H, W, Cin);
+    w: (3, 3, Cin, Cout). Per axis, upsampling then the taps (w0, w1, w2) is a stride-2
+    transposed conv with the taps (w2, w1+w2, w0+w1, w0): ``fold`` makes the 4x4 kernel k4.
+    Its input gradient is conv2d's forward of g with k4; ``fold``'s adjoint gives gw."""
+    if x.value.ndim != 4 or w.value.ndim != 4 or w.value.shape[:3] != (3, 3, x.value.shape[3]):
+        raise ValueError(f"conv_up2x: need x(B,H,W,C), w(3,3,C,Cout); got {x.shape}, {w.shape}")
+    (B, H, W, Cin), Cout = x.value.shape, w.value.shape[3]
+    fold = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    k4 = np.einsum("ad,be,deio->aboi", fold, fold, w.value)   # conv2d layout, Cout -> Cin
+
     def bwd(g):
-        gw = (cols.T @ g.reshape(B * Ho * Wo, Cout)).reshape(kh, kw, Cin, Cout)
-        gx = np.zeros((B, H, W, Cin))
-        for ry in range(s):
-            ty, y0, my, top = _phase(ry, kh, s, ph, H)
-            for rx in range(s):
-                tx, x0, mx, left = _phase(rx, kw, s, pw, W)
-                if ty == 0 or tx == 0 or my == 0 or mx == 0:
-                    continue       # no tap reaches these rows: gradient 0
-                gcols = _im2col(g, ty, tx, 1, top, left, my + ty - 1, mx + tx - 1)
-                sub = w.value[ry::s, rx::s][::-1, ::-1].transpose(0, 1, 3, 2)
-                gx[:, y0::s, x0::s] = (gcols @ sub.reshape(-1, Cin)).reshape(B, my, mx, Cin)
-        return gx, gw
+        gcols = _im2col(g, 4, 4, 2, 1, 1, 2 * H + 2, 2 * W + 2)
+        gx = (gcols @ k4.reshape(16 * Cout, Cin)).reshape(B, H, W, Cin)
+        gk4 = (gcols.T @ x.value.reshape(B * H * W, Cin)).reshape(4, 4, Cout, Cin)
+        return gx, np.einsum("ad,be,aboi->deio", fold, fold, gk4)
 
-    return record("conv2d", (x, w), fwd, bwd)
-
-
-def upsample2x(x: Node) -> Node:
-    """Nearest-neighbour 2x upsampling of (B, H, W, C); gradient sum-pools."""
-    if x.value.ndim != 4:
-        raise ValueError(f"upsample2x: need (B,H,W,C), got {x.shape}")
-    B, H, W, C = x.value.shape
-
-    def bwd(g):
-        return (g.reshape(B, H, 2, W, 2, C).sum(axis=(2, 4)),)
-
-    return record("upsample2x", (x,),
-                  lambda v: np.repeat(np.repeat(v, 2, axis=1), 2, axis=2), bwd)
+    return record("conv_up2x", (x, w),
+                  lambda v, _: _conv_transpose(v, k4, 2, (1, 1), (2 * H, 2 * W)), bwd)
 
 
 BN_EPS = 1e-5   # added to the variance before the inverse square root

@@ -144,8 +144,8 @@ class _DecoderTrunk:
         h = ad.reshape(self.head(h), (b, self.hb, self.wb, self.w2))
         h = ad.relu(self.bn_in(h, train))
         h = self.res(h, train)
-        h = ad.relu(self.bn_up1(self.conv_up1(ad.upsample2x(h)), train))
-        h = ad.relu(self.bn_up2(self.conv_up2(ad.upsample2x(h)), train))
+        h = ad.relu(self.bn_up1(ad.conv_up2x(h, self.conv_up1.w), train))
+        h = ad.relu(self.bn_up2(ad.conv_up2x(h, self.conv_up2.w), train))
         return ad.sigmoid(self.conv_out(h))
 
     def layers(self):
@@ -318,15 +318,17 @@ class JsccModel:
 
         ``taps`` is the per-image channel realization (B, n_taps); ``noise``
         is the additive noise (complex, (B, ``rx_len``)), required when
-        ``sigma_sq > 0`` and rejected when ``sigma_sq == 0``. Returns the
-        reconstruction node and the transmitted packet (for power/PAPR
-        reporting).
+        ``sigma_sq > 0`` and rejected when ``sigma_sq == 0``; ``sigma_sq``
+        must be >= 0. Returns the reconstruction node and the transmitted
+        packet (for power/PAPR reporting).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != (self.cfg.image_h, self.cfg.image_w,
                                           self.cfg.image_c):
             raise ValueError(f"forward: expected (B, {self.cfg.image_h}, "
                              f"{self.cfg.image_w}, {self.cfg.image_c}), got {x.shape}")
+        if not sigma_sq >= 0.0:     # NaN too
+            raise ValueError(f"forward: sigma_sq must be >= 0, got {sigma_sq}")
         if (noise is None) == (sigma_sq > 0.0):
             raise ValueError(f"forward: noise must be given exactly when sigma_sq > 0 "
                              f"(sigma_sq={sigma_sq}, noise given: {noise is not None})")

@@ -114,13 +114,42 @@ def test_conv2d_gradients_against_loops(geometry):
     assert np.all(gx[:, unread] == 0.0)
 
 
-def test_upsample2x_forward(rng):
-    x = rng.standard_normal((1, 2, 3, 2))
-    out = ad.upsample2x(ad.leaf(x)).value
-    assert out.shape == (1, 4, 6, 2)
-    assert np.array_equal(out[:, ::2, ::2], x)
-    assert np.array_equal(out[:, 1::2, ::2], x)
-    assert np.array_equal(out[:, ::2, 1::2], x)
+def _check_conv_up2x(b, h, w_, cin, cout, seed):
+    # reference: nearest 2x upsampling by np.repeat into a leaf, conv2d with
+    # pad 1, and the leaf's gradient sum-pooled 2x2 back onto x
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, h, w_, cin))
+    w = rng.standard_normal((3, 3, cin, cout))
+    g = rng.standard_normal((b, 2 * h, 2 * w_, cout))
+
+    def run(op, xin):
+        xl, wl = ad.leaf(xin), ad.leaf(w)
+        out = op(xl, wl)
+        grads = ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        return out.value, grads[xl], grads[wl]
+
+    out, gx, gw = run(ad.conv_up2x, x)
+    up = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    ref, gup, ref_gw = run(lambda xl, wl: ad.conv2d(xl, wl, pad=(1, 1)), up)
+    ref_gx = gup.reshape(b, h, 2, w_, 2, cin).sum(axis=(2, 4))
+    for got, want in ((out, ref), (gx, ref_gx), (gw, ref_gw)):
+        assert got.shape == want.shape
+        # the sums run in another order: rtol 1e-12, with a floor at 1e-12 of
+        # the array's scale for entries that cancel to almost nothing
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6), st.integers(1, 5),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 1, 1, 1, 0)
+@example(2, 3, 5, 4, 2, 1)
+def test_conv_up2x_matches_upsampled_conv2d(b, h, w_, cin, cout, seed):
+    _check_conv_up2x(b, h, w_, cin, cout, seed)
+
+
+def test_conv_up2x_pinned_case():
+    _check_conv_up2x(1, 2, 3, 2, 3, seed=7)
 
 
 def test_safe_recip_zero_maps_to_zero():

@@ -287,6 +287,16 @@ def test_forward_rejects_noise_without_noise_power(rng):
         model.forward(x, taps, 0.0, noise=np.full((2, model.rx_len), 5.0 + 0j))
 
 
+@pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
+@pytest.mark.parametrize("sigma_sq", [-0.5, math.nan])
+def test_forward_rejects_bad_noise_power(variant, sigma_sq, rng):
+    # direct and implicit used to run these noiseless; explicit failed late on NaN
+    model = build_model(tiny_model_cfg(variant), seed=0)
+    x = rng.random((2, 8, 8, 1))
+    with pytest.raises(ValueError, match="forward: sigma_sq must be >= 0"):
+        model.forward(x, np.ones((2, 1), dtype=complex), sigma_sq)
+
+
 def test_forward_rejects_wrong_image_shape(rng):
     model = build_model(tiny_model_cfg("direct"), seed=0)
     with pytest.raises(ValueError):
@@ -328,14 +338,25 @@ def test_gradients_reach_every_parameter(rng):
     assert missing == []
 
 
-@pytest.mark.parametrize("variant, limit", [("direct", 100), ("implicit", 135),
-                                            ("explicit", 160)])
-def test_training_graph_size(variant, limit, rng):
-    # one batch_norm node per BatchNorm call, not an elementwise composite
+def _training_graph(variant, rng):
     from ofdmjscc.training import mse_loss
     model = build_model(tiny_model_cfg(variant), seed=2)
     x = rng.random((16, 8, 8, 1))
     taps = (rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))) / 2
     noise = awgn(np.random.default_rng(1), (16, model.rx_len), 0.1)
     recon, _ = model.forward(x, taps, 0.1, train=True, noise=noise)
-    assert len(ad._reachable(mse_loss(recon, x))) <= limit
+    return ad._reachable(mse_loss(recon, x))
+
+
+@pytest.mark.parametrize("variant, limit", [("direct", 100), ("implicit", 135),
+                                            ("explicit", 160)])
+def test_training_graph_size(variant, limit, rng):
+    # one batch_norm node per BatchNorm call, not an elementwise composite
+    assert len(_training_graph(variant, rng)) <= limit
+
+
+@pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
+def test_decoder_upsampling_is_one_node_per_stage(variant, rng):
+    # each decoder upsampling stage records a single fused conv_up2x node
+    ops = [n.op for n in _training_graph(variant, rng)]
+    assert ops.count("conv_up2x") == 2
