@@ -9,12 +9,6 @@ the nodes where the sweep stops (leaves, constants and ``no_grad`` nodes).
 Determinism contract: node ids increase in creation order, and the
 contributions into a node are summed as they arrive, in descending consumer
 id, so the same graph always gives bitwise-identical gradients.
-
-A complex signal is one float64 node whose trailing axis of 2 holds the
-(re, im) pair; the complex ops below (``conj_mul``, ``abs2``, ``dft``, ``fir``, ...)
-view it as complex128 internally, but every node value and gradient is a
-float64 array, so there is no complex dtype anywhere in the graph.
-:mod:`.cplx` wraps such nodes as :class:`~.cplx.CplxNode`.
 """
 
 from __future__ import annotations
@@ -368,104 +362,6 @@ def clip_scale(a2: Node, threshold: float) -> Node:
         return (g * d,)
 
     return record("clip_scale", (a2,), lambda x: s, bwd)
-
-
-# ---------------------------------------------------------------------------
-# complex ops on packed nodes: shape (..., 2), (re, im) on the trailing axis
-# ---------------------------------------------------------------------------
-# For a real loss the gradient of a packed z is packed the same way, as
-# dL/dRe z + j dL/dIm z. In that convention the VJP of a complex-linear map A
-# is A^H: the unitary DFT's VJP is the inverse DFT and the FIR filter's a
-# correlation with the conjugate taps.
-
-def _c(x: np.ndarray) -> np.ndarray:
-    """float64 (..., 2) -> complex128 (...), a view when ``x`` is contiguous."""
-    return np.ascontiguousarray(x).view(np.complex128)[..., 0]
-
-
-def _r(z: np.ndarray) -> np.ndarray:
-    """complex128 (...) -> float64 (..., 2), a view when ``z`` is contiguous."""
-    return np.ascontiguousarray(z).view(np.float64).reshape(z.shape + (2,))
-
-
-def _require_packed(op: str, a: Node) -> None:
-    if a.value.ndim == 0 or a.value.shape[-1] != 2:
-        raise ValueError(f"{op}: need a trailing (re, im) axis, got {a.value.shape}")
-
-
-def pack(re: Node, im: Node) -> Node:
-    """Stack two real nodes of equal shape on a new trailing (re, im) axis."""
-    _require_same_shape("pack", re, im)
-    return record("pack", (re, im), lambda r, i: np.stack([r, i], axis=-1),
-                  lambda g: (g[..., 0], g[..., 1]))
-
-
-def conj_mul(a: Node, b: Node) -> Node:
-    """Elementwise complex ``conj(a) * b``."""
-    _require_packed("conj_mul", a)
-    _require_same_shape("conj_mul", a, b)
-    av, bv = _c(a.value), _c(b.value)
-    return record("conj_mul", (a, b), lambda x, y: _r(_c(x).conj() * _c(y)),
-                  lambda g: (_r(_c(g).conj() * bv), _r(_c(g) * av)))
-
-
-def abs2(a: Node) -> Node:
-    """Squared amplitude ``re**2 + im**2``: a real node without the pair axis."""
-    _require_packed("abs2", a)
-    av = a.value
-    return record("abs2", (a,), lambda x: x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1],
-                  lambda g: (2.0 * g[..., None] * av,))
-
-
-def mul_real(a: Node, s: Node) -> Node:
-    """Multiply a packed ``a`` by a real ``s`` of shape ``a.shape[:-1]``."""
-    _require_packed("mul_real", a)
-    if s.value.shape != a.value.shape[:-1]:
-        raise ValueError(f"mul_real: {a.shape} * {s.shape}")
-    av, sv = a.value, s.value[..., None]
-    return record("mul_real", (a, s), lambda x, t: x * t[..., None],
-                  lambda g: (g * sv, g[..., 0] * av[..., 0] + g[..., 1] * av[..., 1]))
-
-
-def _unitary(op: str, a: Node, fwd, inv) -> Node:
-    _require_packed(op, a)
-    return record(op, (a,), lambda x: _r(fwd(_c(x), norm="ortho")),
-                  lambda g: (_r(inv(_c(g), norm="ortho")),))
-
-
-def dft(a: Node) -> Node:
-    """Unitary DFT along the last complex axis; its VJP is the inverse DFT."""
-    return _unitary("dft", a, np.fft.fft, np.fft.ifft)
-
-
-def idft(a: Node) -> Node:
-    """Unitary inverse DFT along the last complex axis; its VJP is the DFT."""
-    return _unitary("idft", a, np.fft.ifft, np.fft.fft)
-
-
-def fir(y: Node, taps: np.ndarray) -> Node:
-    """Leading-aligned FIR filter with constant (non-differentiated) complex taps.
-
-    ``y`` is packed (B, T, 2) and ``taps`` complex (B, L); output sample n of
-    row b is ``sum_l taps[b, l] * y[b, n - l]`` (zero for n < l), truncated to
-    length T. Each direction is one window view times the taps.
-    """
-    h = np.asarray(taps, dtype=np.complex128)
-    if y.value.ndim != 3 or h.ndim != 2 or h.shape[0] != y.value.shape[0]:
-        raise ValueError(f"fir: need y(B,T,2), taps(B,L); got {y.shape}, {h.shape}")
-    _require_packed("fir", y)
-    B, T, _ = y.value.shape
-    L = h.shape[1]
-    if L > T:
-        raise ValueError("fir: more taps than samples")
-
-    def windows(v: np.ndarray, lead: int) -> np.ndarray:
-        buf = np.zeros((B, T + L - 1), dtype=np.complex128)
-        buf[:, lead:lead + T] = _c(v)
-        return np.lib.stride_tricks.sliding_window_view(buf, L, axis=1)
-
-    return record("fir", (y,), lambda x: _r((windows(x, L - 1) @ h[:, ::-1, None])[..., 0]),
-                  lambda g: (_r((windows(g, 0) @ h.conj()[:, :, None])[..., 0]),))
 
 
 def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, top: int, left: int,

@@ -19,7 +19,7 @@ from . import __version__
 from . import cplx, gradcheck
 from .channel import apply_channel, freq_response, sample_channel, snr_to_sigma_sq
 from .config import format_config, load_config
-from .data import load_checkpoint, save_checkpoint, synth_dataset
+from .data import CheckpointError, load_checkpoint, save_checkpoint, synth_dataset
 from .model import ModelConfig, build_model
 from .ofdm import assemble_packet, disassemble_packet, make_pilots, papr_db
 from .receiver import equalize_mmse, estimate_channel_mmse
@@ -56,6 +56,10 @@ def _sweep(text: str | None, kind: type, flag: str, default) -> list:
     if not all(items):
         raise ValueError(f"{flag}: empty item in {text!r}")
     return [kind(t) for t in items]
+
+
+_EVAL_KEYS = ("seed", "snr_db", "clip_ratio", "n_taps", "gamma", "train_images", "test_images",
+              "image_h", "image_w", "image_c", "dataset_seed")   # read by cmd_eval, _dataset
 
 
 def _dataset(cfg_dict: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +105,15 @@ def cmd_train(args) -> int:
 
 def _load_model(path):
     ck = load_checkpoint(path)
-    mcfg = ModelConfig.from_dict(ck["arch"])
-    model = build_model(mcfg, seed=int(ck["train_config"]["seed"]))
+    try:
+        mcfg = ModelConfig.from_dict(ck["arch"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"metadata arch is not a model config: {e!r}") from None
+    tc = ck["train_config"]
+    missing = [k for k in _EVAL_KEYS if not isinstance(tc, dict) or k not in tc]
+    if missing:
+        raise CheckpointError(f"metadata train_config lacks {missing}")
+    model = build_model(mcfg, seed=int(tc["seed"]))
     model.load_state(ck["params"], ck["buffers"])
     return model, ck
 
@@ -144,7 +155,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = gradcheck.run_all(step=args.step, tol=args.tol)
+    reports = gradcheck.run_all()
     for r in reports:
         print(r.line())
     n_fail = sum(not r.passed for r in reports)
@@ -225,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(fn=cmd_eval)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of every op")
-    gc.add_argument("--step", type=float, default=gradcheck.DEFAULT_STEP)
-    gc.add_argument("--tol", type=float, default=gradcheck.DEFAULT_TOL)
     gc.set_defaults(fn=cmd_gradcheck)
 
     cd = sub.add_parser("chain-demo", help="run one packet through the DSP chain")

@@ -75,8 +75,7 @@ def _coerce(key: str, raw: str):
     if key in _OPTIONAL_FLOATS and raw.lower() in ("none", ""):
         return None
     default = _FIELDS[key].default
-    if key in ("gamma", "snr_db", "clip_ratio", "lr") or key in _OPTIONAL_FLOATS \
-            or isinstance(default, float):
+    if key in _OPTIONAL_FLOATS or isinstance(default, float):
         v = float(raw)  # accepts "inf"
         if math.isnan(v):
             raise ValueError(f"{key}: nan is not a valid value")

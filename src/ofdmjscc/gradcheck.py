@@ -117,9 +117,12 @@ def op_checks() -> list[tuple]:
     scalarized with ``standard_normal`` weights drawn from ``seed`` (default
     99), or taken as the loss itself where ``seed`` is None.
     """
+    def packed(fn):      # fn on CplxNodes as an op on packed (..., 2) leaves
+        return lambda *xs: fn(*map(cplx.CplxNode, xs)).z
+
     def dsp(name, fn, seed, shape=None, point=None):
         point = _rng(seed).standard_normal(shape + (2,)) if point is None else point
-        return name, lambda x: fn(cplx.CplxNode(x)).z, [point], 100 + seed
+        return name, packed(fn), [point], 100 + seed
 
     def conv(x, w, stride):
         return ad.conv2d(x, w, stride=stride, pad=(1, 1))
@@ -181,13 +184,14 @@ def op_checks() -> list[tuple]:
         ("batchnorm_eval", batchnorm((_rng(52).standard_normal(3),
                                       _rng(53).uniform(0.5, 1.5, 3))), bn_inputs),
         # --- complex primitives: packed (..., 2) inputs -----------------------
-        ("pack", ad.pack, _draws(47, (3, 4), (3, 4))),
-        ("conj_mul", ad.conj_mul, _draws(49, (3, 4, 2), (3, 4, 2))),
-        ("mul_real", ad.mul_real, _draws(50, (3, 4, 2), (3, 4))),
-        ("abs2", ad.abs2, [_rng(51).standard_normal((3, 8, 2))]),
-        ("dft", ad.dft, [_rng(34).standard_normal((3, 8, 2))]),
-        ("idft", ad.idft, [_rng(35).standard_normal((3, 8, 2))]),
-        ("fir", lambda y: ad.fir(y, fir_taps), [_rng(27).standard_normal((2, 12, 2))]),
+        ("pack", lambda re, im: cplx.CplxNode(re, im).z, _draws(47, (3, 4), (3, 4))),
+        ("conj_mul", packed(cplx.conj_mul), _draws(49, (3, 4, 2), (3, 4, 2))),
+        ("mul_real", lambda a, s: cplx.mul_real(cplx.CplxNode(a), s).z,
+         _draws(50, (3, 4, 2), (3, 4))),
+        ("abs2", lambda x: cplx.abs2(cplx.CplxNode(x)), [_rng(51).standard_normal((3, 8, 2))]),
+        ("dft", packed(cplx.dft), [_rng(34).standard_normal((3, 8, 2))]),
+        ("idft", packed(cplx.idft), [_rng(35).standard_normal((3, 8, 2))]),
+        ("fir", packed(lambda y: cplx.fir(y, fir_taps)), [_rng(27).standard_normal((2, 12, 2))]),
         # --- DSP composites: a complex input is a packed (..., 2) point -------
         dsp("normalize_power", lambda y: normalize_power(y)[0], 36, (2, 10)),
         dsp("clip", lambda y: clip(y, 1.0), 37, point=clip_point),
@@ -207,7 +211,7 @@ def op_checks() -> list[tuple]:
 
 
 def check_op(name: str, op: Callable[..., Node], inputs: Sequence[np.ndarray],
-             seed: int | None = 99, *, step: float, tol: float) -> GradCheckReport:
+             seed: int | None = 99) -> GradCheckReport:
     """Run one :func:`op_checks` entry through :func:`finite_diff_check`."""
     leaves = [ad.leaf(a) for a in inputs]
 
@@ -217,7 +221,7 @@ def check_op(name: str, op: Callable[..., Node], inputs: Sequence[np.ndarray],
             return out
         return ad.sum_all(ad.mul(out, ad.constant(_rng(seed).standard_normal(out.value.shape))))
 
-    return finite_diff_check(loss_fn, leaves, step=step, tol=tol, name=name)
+    return finite_diff_check(loss_fn, leaves, step=DEFAULT_STEP, tol=DEFAULT_TOL, name=name)
 
 
 def tiny_model_config(variant: str = "explicit") -> ModelConfig:
@@ -227,8 +231,7 @@ def tiny_model_config(variant: str = "explicit") -> ModelConfig:
                        ofdm=OfdmConfig(l_fft=8, l_cp=4, n_p=2, n_s=2, pilot_seed=7))
 
 
-def check_model_params(variant: str = "explicit", step: float = CHAIN_STEP,
-                       tol: float = DEFAULT_TOL) -> GradCheckReport:
+def check_model_params(variant: str = "explicit") -> GradCheckReport:
     """End-to-end check: d(loss)/d(theta) for 3 sampled coordinates of every
     parameter tensor of a tiny model, through the complete train-mode chain
     (encode, OFDM, clipping, multipath channel, noise, receiver, decode)."""
@@ -243,12 +246,11 @@ def check_model_params(variant: str = "explicit", step: float = CHAIN_STEP,
         recon, _ = model.forward(x, taps, sigma_sq, clip_ratio=1.3, train=True, noise=noise)
         return mse_loss(recon, x)
 
-    return finite_diff_check(loss_fn, [node for _, node in model.params()], step=step,
-                             tol=tol, name=f"{variant}-chain(params)", coords_per_leaf=3, rng=r)
+    return finite_diff_check(loss_fn, [node for _, node in model.params()], step=CHAIN_STEP,
+                             tol=DEFAULT_TOL, name=f"{variant}-chain(params)",
+                             coords_per_leaf=3, rng=r)
 
 
-def run_all(step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL) -> list[GradCheckReport]:
-    reports = [check_op(*entry, step=step, tol=tol) for entry in op_checks()]
-    for variant in ("direct", "implicit", "explicit"):
-        reports.append(check_model_params(variant, CHAIN_STEP, tol))
-    return reports
+def run_all() -> list[GradCheckReport]:
+    return [check_op(*entry) for entry in op_checks()] + \
+        [check_model_params(variant) for variant in ("direct", "implicit", "explicit")]

@@ -266,9 +266,14 @@ class JsccModel:
 
     def load_state(self, params: list[tuple[str, np.ndarray]],
                    buffers: list[tuple[str, np.ndarray]]) -> None:
+        """Names and shapes must match :meth:`params` (in order) and :meth:`buffers`."""
         own = self.params()
-        if [n for n, _ in own] != [n for n, _ in params]:
-            raise ValueError("load_state: parameter names do not match this architecture")
+        if [(n, p.shape) for n, p in own] != [(n, np.shape(a)) for n, a in params]:
+            raise ValueError("load_state: parameters do not match this architecture")
+        want = {(n, b.shape) for n, b in self.buffers()}
+        got = {(n, np.shape(b)) for n, b in buffers}
+        if got != want:
+            raise ValueError(f"load_state: buffers do not match: {sorted(got ^ want)}")
         for (_, node), (_, arr) in zip(own, params):
             ad.assign(node, arr)
         bmap = dict(buffers)

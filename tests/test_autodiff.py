@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
+from ofdmjscc import cplx, gradcheck
+from ofdmjscc.channel import apply_channel, awgn, sample_channel, snr_to_sigma_sq
 from ofdmjscc.gradcheck import finite_diff_check
+from ofdmjscc.model import VARIANTS, build_model
+from ofdmjscc.ofdm import assemble_packet, disassemble_packet, make_pilots
+from ofdmjscc.receiver import equalize_mmse, estimate_channel_mmse
+from ofdmjscc.training import mse_loss
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +246,52 @@ def test_finite_diff_sampled_coords_catch_perturbed_vjp():
     with pytest.raises(ValueError, match="needs an rng"):
         finite_diff_check(lambda: ad.sum_all(a), [a], step=1e-5, tol=1e-6, name="a",
                           coords_per_leaf=3)
+
+
+def _op_tags(*roots) -> set:
+    """The op tags of every node reachable from ``roots``, leaves excluded."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if node.nid not in seen:
+            seen[node.nid] = node.op
+            stack.extend(node.parents)
+    return set(seen.values()) - {"leaf", "param", "const"}
+
+
+def test_every_recorded_op_has_a_gradcheck_entry_and_back():
+    r = np.random.default_rng(3)
+    used = set()
+    for variant in VARIANTS:
+        cfg = gradcheck.tiny_model_config(variant)
+        model = build_model(cfg, seed=0)
+        x = r.uniform(0.1, 0.9, (2, 8, 8, 1))
+        sigma_sq = snr_to_sigma_sq(10.0)
+        recon, _ = model.forward(x, sample_channel(r, 3, 2.0, batch=2), sigma_sq,
+                                 clip_ratio=1.3, train=True,
+                                 noise=awgn(r, (2, model.rx_len), sigma_sq))
+        used |= _op_tags(mse_loss(recon, x))
+    ocfg = cfg.ofdm
+    pilots = make_pilots(ocfg.pilot_seed, ocfg.n_p, ocfg.l_fft)
+    re, im = (ad.leaf(r.standard_normal((2, ocfg.n_s, ocfg.l_fft))) for _ in range(2))
+    grid = cplx.CplxNode(re, im)
+    pkt = assemble_packet(grid, pilots, ocfg, clip_ratio=1.2)
+    rx = apply_channel(pkt.tx, sample_channel(r, 3, 2.0, batch=2), 0.1, rng=r)
+    pilot_rx, data_rx = disassemble_packet(rx, ocfg)
+    y = equalize_mmse(data_rx, estimate_channel_mmse(pilot_rx, pilots, 0.1), 0.1)
+    used |= _op_tags(ad.sum_all(cplx.abs2(cplx.sub(y, grid))))
+
+    # the composite entries check DSP blocks end to end; an op counts as
+    # checked only when a primitive entry reaches it
+    composites = {"normalize_power", "clip", "assemble_disassemble", "apply_channel",
+                  "estimate_channel_mmse", "equalize_mmse", "mse_loss"}
+    entries = gradcheck.op_checks()
+    assert composites <= {name for name, *_ in entries}
+    checked = set()
+    for name, op, inputs, *_ in entries:
+        if name not in composites:
+            checked |= _op_tags(op(*(ad.leaf(a) for a in inputs)))
+    assert used == checked, (sorted(used - checked), sorted(checked - used))
 
 
 def test_finite_diff_restores_leaves_bitwise():

@@ -13,7 +13,8 @@ import ofdmjscc.autodiff as ad
 from ofdmjscc.cli import CHAIN_HEADER, METRICS_HEADER, TRAIN_LOSS_HEADER, build_parser, main
 from ofdmjscc.config import (ExperimentConfig, format_config, load_config,
                              parse_config_text)
-from ofdmjscc.model import ModelConfig
+from ofdmjscc.data import save_checkpoint
+from ofdmjscc.model import ModelConfig, build_model
 from ofdmjscc.ofdm import OfdmConfig
 from ofdmjscc.training import TrainConfig
 
@@ -177,6 +178,28 @@ def test_cli_eval_missing_checkpoint_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _drop(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, section", [
+    (lambda arch, tc: (_drop(arch, "ofdm"), tc), "arch"),
+    (lambda arch, tc: ({**arch, "image_h": "8"}, tc), "arch"),
+    (lambda arch, tc: (arch, _drop(tc, "snr_db")), "train_config"),
+], ids=["arch_without_ofdm", "image_h_as_text", "train_config_without_snr_db"])
+def test_cli_eval_malformed_checkpoint_metadata(tmp_path, capsys, edit, section):
+    # a hand-edited arch or train_config is a corrupt checkpoint, not a stray exception
+    cfg = load_config(None, parse_config_text(TINY_CFG))
+    model = build_model(cfg.model_config(), seed=cfg.seed)
+    arch, tc = edit(model.cfg.to_dict(), cfg.to_dict())
+    path = tmp_path / "bad.jscc"
+    save_checkpoint(path, arch=arch, params=[(n, p.value) for n, p in model.params()],
+                    train_config=tc, buffers=model.buffers())
+    rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    assert f"error: metadata {section} " in capsys.readouterr().err
+
+
 def test_cli_eval_zero_realizations_rejected(tmp_path, tiny_cfg_file, capsys):
     # 0 is a value, not "use the checkpoint default": evaluate must see and reject it
     run = _train(tmp_path, tiny_cfg_file)
@@ -241,7 +264,7 @@ def test_cli_chain_demo_clipping_bound(tmp_path, tiny_cfg_file):
 
 
 def test_cli_gradcheck_exit_codes(capsys):
-    assert main(["gradcheck", "--step", "1e-5"]) == 0
+    assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "gradient checks passed" in out
     assert "FAIL" not in out

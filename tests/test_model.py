@@ -324,6 +324,23 @@ def test_load_state_rejects_mismatched_names():
         a.load_state([(n, p.value) for n, p in b.params()], b.buffers())
 
 
+@pytest.mark.parametrize("case", ["missing", "wrong_shape", "extra"])
+def test_load_state_rejects_bad_buffers_before_setting_anything(case):
+    src, dst = (build_model(tiny_model_cfg("explicit"), seed=s) for s in (1, 2))
+    buffers = src.buffers()
+    if case == "missing":
+        buffers = [(n, b) for n, b in buffers if n != "enc.bn1.running_mean"]
+    elif case == "wrong_shape":
+        buffers = [(n, np.zeros(7) if n == "enc.bn1.running_mean" else b) for n, b in buffers]
+    else:
+        buffers = buffers + [("junk.running_mean", np.zeros(4))]
+    before = [p.value for _, p in dst.params()], dst.buffers()
+    with pytest.raises(ValueError, match="buffers do not match"):
+        dst.load_state([(n, p.value) for n, p in src.params()], buffers)
+    assert all(a is p.value for a, (_, p) in zip(before[0], dst.params()))
+    assert all(a is b for (_, a), (_, b) in zip(before[1], dst.buffers()))
+
+
 def test_gradients_reach_every_parameter(rng):
     # one training-mode step must touch encoder, decoder and both subnets
     from ofdmjscc.training import mse_loss
