@@ -58,8 +58,10 @@ def _sweep(text: str | None, kind: type, flag: str, default) -> list:
     return [kind(t) for t in items]
 
 
-_EVAL_KEYS = ("seed", "snr_db", "clip_ratio", "n_taps", "gamma", "train_images", "test_images",
-              "image_h", "image_w", "image_c", "dataset_seed")   # read by cmd_eval, _dataset
+# train_config keys read by cmd_eval and _dataset, by type
+_EVAL_FLOATS = ("snr_db", "clip_ratio", "gamma")
+_EVAL_KEYS = _EVAL_FLOATS + ("seed", "n_taps", "train_images", "test_images", "image_h",
+                             "image_w", "image_c", "dataset_seed", "realizations")
 
 
 def _dataset(cfg_dict: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +115,11 @@ def _load_model(path):
     missing = [k for k in _EVAL_KEYS if not isinstance(tc, dict) or k not in tc]
     if missing:
         raise CheckpointError(f"metadata train_config lacks {missing}")
-    model = build_model(mcfg, seed=int(tc["seed"]))
+    bad = {k: tc[k] for k in _EVAL_KEYS
+           if not (type(tc[k]) is int or (k in _EVAL_FLOATS and type(tc[k]) is float))}
+    if bad:
+        raise CheckpointError(f"metadata train_config has values of the wrong type: {bad}")
+    model = build_model(mcfg, seed=tc["seed"])
     model.load_state(ck["params"], ck["buffers"])
     return model, ck
 
@@ -126,8 +132,7 @@ def cmd_eval(args) -> int:
     snrs = _sweep(args.snr_db, float, "--snr-db", tc["snr_db"])
     clips = _sweep(args.clip_ratio, float, "--clip-ratio", tc["clip_ratio"])
     taps_list = _sweep(args.taps, int, "--taps", tc["n_taps"])
-    realizations = int(tc.get("realizations", 5)) if args.realizations is None \
-        else args.realizations
+    realizations = tc["realizations"] if args.realizations is None else args.realizations
     if model.cfg.variant == "direct" and clips != [math.inf]:
         print(f"note: the direct variant never clips; clip_ratio "
               f"{','.join(map(_fmt, clips))} is evaluated and reported as inf",

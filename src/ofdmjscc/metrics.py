@@ -13,12 +13,17 @@ _SSIM_C2 = 0.03 ** 2
 
 
 def psnr(ref: np.ndarray, rec: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 100 for (near-)exact match."""
+    """Peak signal-to-noise ratio in dB, capped at 100 for (near-)exact match.
+
+    A non-finite MSE (a NaN or inf in either image) raises ``ValueError``.
+    """
     ref = np.asarray(ref, dtype=np.float64)
     rec = np.asarray(rec, dtype=np.float64)
     if ref.shape != rec.shape:
         raise ValueError(f"psnr: shape mismatch {ref.shape} vs {rec.shape}")
     mse = float(np.mean((ref - rec) ** 2))
+    if not np.isfinite(mse):
+        raise ValueError(f"psnr: non-finite mean squared error {mse}")
     if mse == 0.0:
         return PSNR_CAP_DB
     return float(min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / mse)))

@@ -18,6 +18,10 @@ receiver variants trade DSP structure against learned flexibility:
 Both subnets end in a zero-initialized normalization scale, so at
 initialization the explicit path is exactly the plain estimate/equalize
 pipeline.
+
+Attribute names are checkpoint names (``params()`` names a parameter by its
+path, ``enc.res.conv_a.w``): renaming one breaks old checkpoints, and
+``test_checkpoint_layout_is_pinned`` catches it.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from . import cplx
 from .autodiff import Node
 from .cplx import CplxNode
 from .channel import apply_channel
-from .nn import BatchNorm, Conv2d, Dense
-from .ofdm import OfdmConfig, TxPacket, assemble_packet, disassemble_packet, \
-    make_pilots, normalize_power
+from .nn import BatchNorm, Conv2d, Dense, Module
+from .ofdm import OfdmConfig, TxPacket, assemble_packet, check_field_types, \
+    disassemble_packet, make_pilots, normalize_power
 from .receiver import equalize_mmse, estimate_channel_mmse
 
 VARIANTS = ("direct", "implicit", "explicit")
@@ -54,6 +58,7 @@ class ModelConfig:
     ofdm: OfdmConfig = field(default_factory=OfdmConfig)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.image_h % 4 or self.image_w % 4:
@@ -63,46 +68,39 @@ class ModelConfig:
             raise ValueError(f"image_c must be 1 or 3, got {self.image_c}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ofdm"] = asdict(self.ofdm)
-        return d
+        return asdict(self)     # recurses into ofdm
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["ofdm"] = OfdmConfig(**d["ofdm"])
-        return ModelConfig(**d)
+        return ModelConfig(**{**d, "ofdm": OfdmConfig(**d["ofdm"])})
 
 
-class _ResBlock:
-    def __init__(self, name: str, width: int, rng):
-        self.conv_a = Conv2d(f"{name}.conv_a", 3, 3, width, width, rng, bias=False)
-        self.bn_a = BatchNorm(f"{name}.bn_a", width)
-        self.conv_b = Conv2d(f"{name}.conv_b", 3, 3, width, width, rng, bias=False)
-        self.bn_b = BatchNorm(f"{name}.bn_b", width)
+class _ResBlock(Module):
+    def __init__(self, width: int, rng):
+        self.conv_a = Conv2d(3, 3, width, width, rng, bias=False)
+        self.bn_a = BatchNorm(width)
+        self.conv_b = Conv2d(3, 3, width, width, rng, bias=False)
+        self.bn_b = BatchNorm(width)
 
     def __call__(self, x: Node, train: bool) -> Node:
         h = ad.relu(self.bn_a(self.conv_a(x), train))
         h = self.bn_b(self.conv_b(h), train)
         return ad.relu(ad.add(x, h))
 
-    def layers(self):
-        return [self.conv_a, self.bn_a, self.conv_b, self.bn_b]
 
-
-class _Encoder:
+class _Encoder(Module):
     """Image (B, H, W, C) -> complex grid (B, n_s, l_fft)."""
 
     def __init__(self, cfg: ModelConfig, rng):
         w1, w2 = cfg.width1, cfg.width2
         hb, wb = cfg.image_h // 4, cfg.image_w // 4
         self.grid_shape = (cfg.ofdm.n_s, cfg.ofdm.l_fft)
-        self.conv1 = Conv2d("enc.conv1", 3, 3, cfg.image_c, w1, rng, stride=2, bias=False)
-        self.bn1 = BatchNorm("enc.bn1", w1)
-        self.conv2 = Conv2d("enc.conv2", 3, 3, w1, w2, rng, stride=2, bias=False)
-        self.bn2 = BatchNorm("enc.bn2", w2)
-        self.res = _ResBlock("enc.res", w2, rng)
-        self.head = Dense("enc.head", hb * wb * w2, 2 * cfg.ofdm.n_s * cfg.ofdm.l_fft, rng)
+        self.conv1 = Conv2d(3, 3, cfg.image_c, w1, rng, stride=2, bias=False)
+        self.bn1 = BatchNorm(w1)
+        self.conv2 = Conv2d(3, 3, w1, w2, rng, stride=2, bias=False)
+        self.bn2 = BatchNorm(w2)
+        self.res = _ResBlock(w2, rng)
+        self.head = Dense(hb * wb * w2, 2 * cfg.ofdm.n_s * cfg.ofdm.l_fft, rng)
 
     def __call__(self, x: Node, train: bool) -> CplxNode:
         b = x.value.shape[0]
@@ -112,11 +110,8 @@ class _Encoder:
         h = self.head(ad.reshape(h, (b, -1)))          # [re..., im...] per row
         return CplxNode(ad.moveaxis(ad.reshape(h, (b, 2) + self.grid_shape), 1, -1))
 
-    def layers(self):
-        return [self.conv1, self.bn1, self.conv2, self.bn2, *self.res.layers(), self.head]
 
-
-class _DecoderTrunk:
+class _DecoderTrunk(Module):
     """Flat receiver features (B, F) -> image (B, H, W, C) in [0, 1].
 
     The hidden pre-head layer is what lets receivers that only see raw
@@ -124,19 +119,19 @@ class _DecoderTrunk:
     multiplicative channel-inversion relationship before the spatial stack.
     """
 
-    def __init__(self, cfg: ModelConfig, in_dim: int, rng):
+    def __init__(self, cfg: ModelConfig, rng):
         w1, w2 = cfg.width1, cfg.width2
         self.hb, self.wb = cfg.image_h // 4, cfg.image_w // 4
         self.w2 = w2
-        self.pre = Dense("dec.pre", in_dim, cfg.head_hidden, rng)
-        self.head = Dense("dec.head", cfg.head_hidden, self.hb * self.wb * w2, rng)
-        self.bn_in = BatchNorm("dec.bn_in", w2)
-        self.res = _ResBlock("dec.res", w2, rng)
-        self.conv_up1 = Conv2d("dec.conv_up1", 3, 3, w2, w1, rng, bias=False)
-        self.bn_up1 = BatchNorm("dec.bn_up1", w1)
-        self.conv_up2 = Conv2d("dec.conv_up2", 3, 3, w1, w1, rng, bias=False)
-        self.bn_up2 = BatchNorm("dec.bn_up2", w1)
-        self.conv_out = Conv2d("dec.conv_out", 3, 3, w1, cfg.image_c, rng)
+        self.pre = Dense(2 * cfg.ofdm.n_s * cfg.ofdm.l_fft, cfg.head_hidden, rng)
+        self.head = Dense(cfg.head_hidden, self.hb * self.wb * w2, rng)
+        self.bn_in = BatchNorm(w2)
+        self.res = _ResBlock(w2, rng)
+        self.conv_up1 = Conv2d(3, 3, w2, w1, rng, bias=False)
+        self.bn_up1 = BatchNorm(w1)
+        self.conv_up2 = Conv2d(3, 3, w1, w1, rng, bias=False)
+        self.bn_up2 = BatchNorm(w1)
+        self.conv_out = Conv2d(3, 3, w1, cfg.image_c, rng)
 
     def __call__(self, feat: Node, train: bool) -> Node:
         b = feat.value.shape[0]
@@ -148,12 +143,8 @@ class _DecoderTrunk:
         h = ad.relu(self.bn_up2(ad.conv_up2x(h, self.conv_up2.w), train))
         return ad.sigmoid(self.conv_out(h))
 
-    def layers(self):
-        return [self.pre, self.head, self.bn_in, *self.res.layers(), self.conv_up1,
-                self.bn_up1, self.conv_up2, self.bn_up2, self.conv_out]
 
-
-class _Subnet:
+class _Subnet(Module):
     """Conv -> BN -> ReLU -> Conv -> BN residual head; identity at init.
 
     Operates on (B, H, W, C_in) and returns a complex (B, H, W) tensor, its
@@ -161,22 +152,19 @@ class _Subnet:
     kernel.
     """
 
-    def __init__(self, name: str, c_in: int, hidden: int, rng, one_d: bool):
+    def __init__(self, c_in: int, hidden: int, rng, one_d: bool):
         kh = 1 if one_d else 3
-        self.conv1 = Conv2d(f"{name}.conv1", kh, 3, c_in, hidden, rng, bias=False)
-        self.bn1 = BatchNorm(f"{name}.bn1", hidden)
-        self.conv2 = Conv2d(f"{name}.conv2", kh, 3, hidden, 2, rng, bias=False)
-        self.bn2 = BatchNorm(f"{name}.bn2", 2, gamma_init=0.0)
+        self.conv1 = Conv2d(kh, 3, c_in, hidden, rng, bias=False)
+        self.bn1 = BatchNorm(hidden)
+        self.conv2 = Conv2d(kh, 3, hidden, 2, rng, bias=False)
+        self.bn2 = BatchNorm(2, gamma_init=0.0)
 
     def __call__(self, x: Node, train: bool) -> CplxNode:
         h = ad.relu(self.bn1(self.conv1(x), train))
         return CplxNode(self.bn2(self.conv2(h), train))       # channels (re, im)
 
-    def layers(self):
-        return [self.conv1, self.bn1, self.conv2, self.bn2]
 
-
-class _ImplicitFront:
+class _ImplicitFront(Module):
     """Learned per-subcarrier receiver for the implicit variant.
 
     Sees only raw observations — the equalizer input a hand-designed receiver
@@ -192,11 +180,11 @@ class _ImplicitFront:
         self.n_s, self.l_fft = o.n_s, o.l_fft
         c_in = 2 * o.n_s + 4 * o.n_p
         m = cfg.front_hidden
-        self.conv1 = Conv2d("front.conv1", 1, 1, c_in, m, rng, bias=False)
-        self.bn1 = BatchNorm("front.bn1", m)
-        self.conv2 = Conv2d("front.conv2", 1, 1, m, m, rng, bias=False)
-        self.bn2 = BatchNorm("front.bn2", m)
-        self.conv3 = Conv2d("front.conv3", 1, 1, m, 2 * o.n_s, rng)
+        self.conv1 = Conv2d(1, 1, c_in, m, rng, bias=False)
+        self.bn1 = BatchNorm(m)
+        self.conv2 = Conv2d(1, 1, m, m, rng, bias=False)
+        self.bn2 = BatchNorm(m)
+        self.conv3 = Conv2d(1, 1, m, 2 * o.n_s, rng)
 
     def __call__(self, pilot_rx: CplxNode, data_rx: CplxNode,
                  known: np.ndarray, train: bool) -> CplxNode:
@@ -212,75 +200,24 @@ class _ImplicitFront:
         out = self.conv3(h)                                      # (B, 1, L, 2 n_s)
         return CplxNode(ad.moveaxis(ad.reshape(out, (b, l, 2, self.n_s)), -1, 1))
 
-    def layers(self):
-        return [self.conv1, self.bn1, self.conv2, self.bn2, self.conv3]
-
 
 def _flatten_cplx(z: CplxNode) -> Node:
     """(B, ...) complex -> (B, F) real features, all real parts first."""
     return ad.reshape(ad.moveaxis(z.z, -1, 1), (z.shape[0], -1))
 
 
-class JsccModel:
+class JsccModel(Module):
     """End-to-end transceiver: encoder, channel interface and decoder."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.pilots = make_pilots(cfg.ofdm.pilot_seed, cfg.ofdm.n_p, cfg.ofdm.l_fft)
-        self.encoder = _Encoder(cfg, rng)
-        n_feat = 2 * cfg.ofdm.n_s * cfg.ofdm.l_fft
-        self.trunk = _DecoderTrunk(cfg, n_feat, rng)
+        self.enc = _Encoder(cfg, rng)
+        self.dec = _DecoderTrunk(cfg, rng)
         self.front = _ImplicitFront(cfg, rng) if cfg.variant == "implicit" else None
         if cfg.variant == "explicit":
-            self.subnet_h = _Subnet("sub_h", 2 + 4 * cfg.ofdm.n_p, cfg.subnet_hidden,
-                                    rng, one_d=True)
-            self.subnet_eq = _Subnet("sub_eq", 4, cfg.subnet_hidden, rng, one_d=False)
-        else:
-            self.subnet_h = self.subnet_eq = None
-
-    # -- parameter plumbing ------------------------------------------------
-
-    def _layers(self):
-        out = [*self.encoder.layers(), *self.trunk.layers()]
-        if self.front is not None:
-            out += self.front.layers()
-        if self.subnet_h is not None:
-            out += [*self.subnet_h.layers(), *self.subnet_eq.layers()]
-        return out
-
-    def params(self) -> list[tuple[str, Node]]:
-        out = []
-        for layer in self._layers():
-            out.extend(layer.params())
-        return out
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for layer in self._layers():
-            if isinstance(layer, BatchNorm):
-                out.extend(layer.buffers())
-        return out
-
-    def n_params(self, prefix: str = "") -> int:
-        return sum(p.value.size for name, p in self.params() if name.startswith(prefix))
-
-    def load_state(self, params: list[tuple[str, np.ndarray]],
-                   buffers: list[tuple[str, np.ndarray]]) -> None:
-        """Names and shapes must match :meth:`params` (in order) and :meth:`buffers`."""
-        own = self.params()
-        if [(n, p.shape) for n, p in own] != [(n, np.shape(a)) for n, a in params]:
-            raise ValueError("load_state: parameters do not match this architecture")
-        want = {(n, b.shape) for n, b in self.buffers()}
-        got = {(n, np.shape(b)) for n, b in buffers}
-        if got != want:
-            raise ValueError(f"load_state: buffers do not match: {sorted(got ^ want)}")
-        for (_, node), (_, arr) in zip(own, params):
-            ad.assign(node, arr)
-        bmap = dict(buffers)
-        for layer in self._layers():
-            if isinstance(layer, BatchNorm):
-                layer.running_mean = np.array(bmap[f"{layer.name}.running_mean"])
-                layer.running_var = np.array(bmap[f"{layer.name}.running_var"])
+            self.sub_h = _Subnet(2 + 4 * cfg.ofdm.n_p, cfg.subnet_hidden, rng, one_d=True)
+            self.sub_eq = _Subnet(4, cfg.subnet_hidden, rng, one_d=False)
 
     @property
     def rx_len(self) -> int:
@@ -291,7 +228,7 @@ class JsccModel:
     # -- forward -----------------------------------------------------------
 
     def encode(self, x: Node, train: bool) -> CplxNode:
-        return self.encoder(x, train)
+        return self.enc(x, train)
 
     def explicit_front(self, pilot_rx: CplxNode, data_rx: CplxNode, sigma_sq: float,
                        train: bool) -> tuple[CplxNode, CplxNode]:
@@ -309,12 +246,12 @@ class JsccModel:
         rows = ad.reshape(ad.moveaxis(pilot_rx.z, 1, 2), (b, cfg.l_fft, -1))
         feat = ad.concat([h_hat.z, ad.constant(np.broadcast_to(known, rows.shape)), rows],
                          axis=-1)
-        delta = self.subnet_h(ad.reshape(feat, (b, 1) + feat.value.shape[1:]), train)
+        delta = self.sub_h(ad.reshape(feat, (b, 1) + feat.value.shape[1:]), train)
         h_ref = cplx.add(h_hat, cplx.reshape(delta, (b, cfg.l_fft)))
         y_eq = equalize_mmse(data_rx, h_ref, sigma_sq)
         hexp = cplx.tile(cplx.reshape(h_ref, (b, 1, cfg.l_fft)), 1, cfg.n_s)
         feat = ad.concat([y_eq.z, hexp.z], axis=-1)
-        return h_ref, cplx.add(y_eq, self.subnet_eq(feat, train))
+        return h_ref, cplx.add(y_eq, self.sub_eq(feat, train))
 
     def forward(self, x: np.ndarray, taps: np.ndarray, sigma_sq: float,
                 clip_ratio: float = math.inf, train: bool = False,
@@ -359,7 +296,7 @@ class JsccModel:
                 y = self.front(pilot_rx, data_rx, self.pilots, train)
             else:
                 _, y = self.explicit_front(pilot_rx, data_rx, sigma_sq, train)
-        return self.trunk(_flatten_cplx(y), train), pkt
+        return self.dec(_flatten_cplx(y), train), pkt
 
 
 def build_model(cfg: ModelConfig, seed: int) -> JsccModel:

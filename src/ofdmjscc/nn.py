@@ -2,8 +2,8 @@
 
 Weight initialization follows the usual GAN-style recipe: zero-mean normals
 with standard deviation 0.02 for convolution and dense weights, ones/zeros
-for normalization scales/shifts. Layers own their parameters as leaf nodes;
-``params()`` yields (name, node) pairs in a fixed order.
+for normalization scales/shifts. Layers own their parameters as leaf nodes,
+and :class:`Module` finds them by walking attributes.
 """
 
 from __future__ import annotations
@@ -21,20 +21,63 @@ def _init_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.n
     return std * rng.standard_normal(shape)
 
 
-class Dense:
-    def __init__(self, name: str, n_in: int, n_out: int, rng: np.random.Generator):
-        self.name = name
+class Module:
+    """A layer or block whose parameters are found by walking its attributes.
+
+    ``params()`` gives the ``param`` leaves among its attributes and its
+    submodules' in the order they were set, named by attribute path
+    (``enc.res.conv_a.w``): the checkpoint layout and Adam's update order.
+    ``buffers()`` lists the plain-array attributes a class names in ``BUFFERS``.
+    """
+
+    BUFFERS: tuple[str, ...] = ()
+
+    def _walk(self, prefix: str = ""):
+        """(path, owner, attribute, value) of every non-module attribute below."""
+        for k, v in vars(self).items():
+            if isinstance(v, Module):
+                yield from v._walk(f"{prefix}{k}.")
+            else:
+                yield prefix + k, self, k, v
+
+    def params(self) -> list[tuple[str, Node]]:
+        return [(path, v) for path, _, _, v in self._walk()
+                if isinstance(v, Node) and v.op == "param"]
+
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        return [(path, v) for path, owner, k, v in self._walk() if k in owner.BUFFERS]
+
+    def n_params(self, prefix: str = "") -> int:
+        return sum(p.value.size for name, p in self.params() if name.startswith(prefix))
+
+    def load_state(self, params: list[tuple[str, np.ndarray]],
+                   buffers: list[tuple[str, np.ndarray]]) -> None:
+        """Names and shapes must match :meth:`params` (in order) and :meth:`buffers`."""
+        own = self.params()
+        if [(n, p.shape) for n, p in own] != [(n, np.shape(a)) for n, a in params]:
+            raise ValueError("load_state: parameters do not match this architecture")
+        want = {(n, b.shape) for n, b in self.buffers()}
+        got = {(n, np.shape(b)) for n, b in buffers}
+        if got != want:
+            raise ValueError(f"load_state: buffers do not match: {sorted(got ^ want)}")
+        for (_, node), (_, arr) in zip(own, params):
+            ad.assign(node, arr)
+        bmap = dict(buffers)
+        for path, owner, k, _ in self._walk():
+            if k in owner.BUFFERS:
+                setattr(owner, k, np.array(bmap[path]))
+
+
+class Dense(Module):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.w = ad.leaf(_init_normal(rng, (n_in, n_out)), op="param")
         self.b = ad.leaf(np.zeros(n_out), op="param")
 
     def __call__(self, x: Node) -> Node:
         return ad.bias_last(ad.matmul(x, self.w), self.b)
 
-    def params(self):
-        return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
 
-
-class Conv2d:
+class Conv2d(Module):
     """3x3-style convolution over (B, H, W, C) with integer stride and
     "same" padding ``((kh - 1) // 2, (kw - 1) // 2)``.
 
@@ -42,9 +85,8 @@ class Conv2d:
     cancelled exactly by the mean subtraction).
     """
 
-    def __init__(self, name: str, kh: int, kw: int, c_in: int, c_out: int,
+    def __init__(self, kh: int, kw: int, c_in: int, c_out: int,
                  rng: np.random.Generator, stride: int = 1, bias: bool = True):
-        self.name = name
         self.stride = stride
         self.pad = ((kh - 1) // 2, (kw - 1) // 2)
         self.w = ad.leaf(_init_normal(rng, (kh, kw, c_in, c_out)), op="param")
@@ -54,14 +96,8 @@ class Conv2d:
         out = ad.conv2d(x, self.w, stride=self.stride, pad=self.pad)
         return out if self.b is None else ad.bias_last(out, self.b)
 
-    def params(self):
-        out = [(f"{self.name}.w", self.w)]
-        if self.b is not None:
-            out.append((f"{self.name}.b", self.b))
-        return out
 
-
-class BatchNorm:
+class BatchNorm(Module):
     """Per-channel (last axis) batch normalization.
 
     Training mode normalizes with biased batch statistics over all leading
@@ -71,8 +107,9 @@ class BatchNorm:
     residual branches that must start as the identity.
     """
 
-    def __init__(self, name: str, channels: int, gamma_init: float = 1.0):
-        self.name = name
+    BUFFERS = ("running_mean", "running_var")
+
+    def __init__(self, channels: int, gamma_init: float = 1.0):
         self.gamma = ad.leaf(np.full(channels, float(gamma_init)), op="param")
         self.beta = ad.leaf(np.zeros(channels), op="param")
         self.running_mean = np.zeros(channels)
@@ -86,10 +123,3 @@ class BatchNorm:
             self.running_mean = m * self.running_mean + (1 - m) * mean
             self.running_var = m * self.running_var + (1 - m) * var
         return out
-
-    def params(self):
-        return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
-
-    def buffers(self):
-        return [(f"{self.name}.running_mean", self.running_mean),
-                (f"{self.name}.running_var", self.running_var)]

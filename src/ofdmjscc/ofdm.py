@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,6 +30,13 @@ P_S = 1.0  # nominal average transmit power after normalization
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 
+def check_field_types(cfg) -> None:
+    """Raise ``ValueError`` for a dataclass field not of its declared type (a bool is not an int)."""
+    for name, tp in get_type_hints(type(cfg)).items():
+        if type(getattr(cfg, name)) is not tp:
+            raise ValueError(f"{name} must be {tp.__name__}, got {getattr(cfg, name)!r}")
+
+
 @dataclass(frozen=True)
 class OfdmConfig:
     """Static dimensions of the OFDM frame."""
@@ -40,6 +48,7 @@ class OfdmConfig:
     pilot_seed: int = 7
 
     def __post_init__(self):
+        check_field_types(self)
         if self.l_fft < 2:
             raise ValueError(f"l_fft must be >= 2, got {self.l_fft}")
         if not 0 <= self.l_cp < self.l_fft:

@@ -182,7 +182,7 @@ def test_criterion_04_perfect_chain(capsys, tmp_path):
     t0 = time.monotonic()
     rc = main(["chain-demo", "--out", str(tmp_path), "--snr-db", "inf"])
     rows = {r[0]: r[2] for r in
-            list(csv.reader((tmp_path / "chain.csv").open()))[1:]}
+            list(csv.reader((tmp_path / "chain.csv").read_text().splitlines()))[1:]}
     eq_mse = float(rows["equalized_mse"])
     elapsed = time.monotonic() - t0
     ok = rc == 0 and eq_mse < 1e-16 and elapsed < 1.0

@@ -186,7 +186,18 @@ def _drop(d: dict, key: str) -> dict:
     (lambda arch, tc: (_drop(arch, "ofdm"), tc), "arch"),
     (lambda arch, tc: ({**arch, "image_h": "8"}, tc), "arch"),
     (lambda arch, tc: (arch, _drop(tc, "snr_db")), "train_config"),
-], ids=["arch_without_ofdm", "image_h_as_text", "train_config_without_snr_db"])
+    (lambda arch, tc: ({**arch, "width1": "4"}, tc), "arch"),
+    (lambda arch, tc: ({**arch, "head_hidden": 8.0}, tc), "arch"),
+    (lambda arch, tc: ({**arch, "width2": True}, tc), "arch"),
+    (lambda arch, tc: ({**arch, "ofdm": {**arch["ofdm"], "l_fft": 8.0}}, tc), "arch"),
+    (lambda arch, tc: (arch, {**tc, "seed": "x"}), "train_config"),
+    (lambda arch, tc: (arch, {**tc, "test_images": 2.0}), "train_config"),
+    (lambda arch, tc: (arch, {**tc, "realizations": 2.5}), "train_config"),
+    (lambda arch, tc: (arch, _drop(tc, "realizations")), "train_config"),
+], ids=["arch_without_ofdm", "image_h_as_text", "train_config_without_snr_db",
+        "width1_as_text", "head_hidden_as_float", "width2_as_bool", "l_fft_as_float",
+        "seed_as_text", "test_images_as_float", "realizations_as_float",
+        "train_config_without_realizations"])
 def test_cli_eval_malformed_checkpoint_metadata(tmp_path, capsys, edit, section):
     # a hand-edited arch or train_config is a corrupt checkpoint, not a stray exception
     cfg = load_config(None, parse_config_text(TINY_CFG))

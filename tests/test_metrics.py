@@ -27,6 +27,15 @@ def test_psnr_identical_is_capped():
     assert psnr(img, img + 1e-9) > 90.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_psnr_rejects_non_finite_reconstruction(bad):
+    # a NaN must not pass as a perfect match, nor an inf as -inf dB
+    rec = np.zeros((4, 4))
+    rec[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        psnr(np.zeros((4, 4)), rec)
+
+
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4)), np.zeros((4, 5)))

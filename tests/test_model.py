@@ -1,6 +1,7 @@
 """Layers and the three transceiver variants: values against numpy references,
 statistics in train/eval mode, parameter budgets and initialization contracts."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import ofdmjscc.autodiff as ad
 from ofdmjscc.channel import awgn
 from ofdmjscc.model import ModelConfig, build_model
-from ofdmjscc.nn import BatchNorm, Conv2d, Dense
+from ofdmjscc.nn import BatchNorm, Conv2d, Dense, Module
 from ofdmjscc.ofdm import OfdmConfig
 from ofdmjscc.receiver import equalize_mmse, estimate_channel_mmse
 from conftest import tiny_model_cfg
@@ -22,21 +23,21 @@ from conftest import tiny_model_cfg
 # ---------------------------------------------------------------------------
 
 def test_dense_forward(rng):
-    layer = Dense("d", 5, 3, np.random.default_rng(0))
+    layer = Dense(5, 3, np.random.default_rng(0))
     x = rng.standard_normal((4, 5))
     got = layer(ad.leaf(x)).value
     assert np.allclose(got, x @ layer.w.value + layer.b.value, atol=1e-14)
 
 
 def test_conv_bias_flag():
-    with_bias = Conv2d("c", 3, 3, 2, 4, np.random.default_rng(0))
-    without = Conv2d("c", 3, 3, 2, 4, np.random.default_rng(0), bias=False)
+    with_bias = Conv2d(3, 3, 2, 4, np.random.default_rng(0))
+    without = Conv2d(3, 3, 2, 4, np.random.default_rng(0), bias=False)
     assert len(with_bias.params()) == 2
     assert len(without.params()) == 1
 
 
 def test_batchnorm_train_statistics(rng):
-    bn = BatchNorm("bn", 3)
+    bn = BatchNorm(3)
     x = 2.0 + 1.5 * rng.standard_normal((64, 4, 4, 3))
     out = bn(ad.leaf(x), train=True).value
     assert np.allclose(out.mean(axis=(0, 1, 2)), 0.0, atol=1e-12)
@@ -50,7 +51,7 @@ def test_batchnorm_train_statistics(rng):
 
 
 def test_batchnorm_running_buffer_update(rng):
-    bn = BatchNorm("bn", 2)
+    bn = BatchNorm(2)
     x = rng.standard_normal((32, 2)) + 5.0
     bn(ad.leaf(x), train=True)
     mu, var = x.mean(axis=0), x.var(axis=0)
@@ -59,7 +60,7 @@ def test_batchnorm_running_buffer_update(rng):
 
 
 def test_batchnorm_eval_idempotent_and_buffer_based(rng):
-    bn = BatchNorm("bn", 2)
+    bn = BatchNorm(2)
     for _ in range(5):
         bn(ad.leaf(rng.standard_normal((16, 2)) + 3.0), train=True)
     x = rng.standard_normal((4, 2))
@@ -71,13 +72,13 @@ def test_batchnorm_eval_idempotent_and_buffer_based(rng):
 
 
 def test_batchnorm_single_sample_train_rejected():
-    bn = BatchNorm("bn", 2)
+    bn = BatchNorm(2)
     with pytest.raises(ValueError):
         bn(ad.leaf(np.zeros((1, 2))), train=True)
 
 
 def test_batchnorm_zero_gamma_outputs_zero(rng):
-    bn = BatchNorm("bn", 3, gamma_init=0.0)
+    bn = BatchNorm(3, gamma_init=0.0)
     out = bn(ad.leaf(rng.standard_normal((8, 3))), train=True).value
     assert np.array_equal(out, np.zeros_like(out))
 
@@ -176,6 +177,58 @@ def test_param_names_unique():
     names = [n for n, _ in model.params()]
     assert len(names) == len(set(names))
     assert model.n_params() == sum(p.value.size for _, p in model.params())
+
+
+# (count, sha256 prefix of repr([(name, shape), ...])) of params(), then of
+# buffers(): the checkpoint layout, which existing checkpoints depend on
+_LAYOUT_SHA256 = {
+    "direct": (34, "5fbc1db14ac9a853", 18, "54185e5f436e4047"),
+    "implicit": (42, "4759f2dc09394ff6", 22, "46596f1f0cca8187"),
+    "explicit": (46, "9df7651b646b6151", 26, "c8db03c148cf10de"),
+}
+
+
+@pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
+def test_checkpoint_layout_is_pinned(variant):
+    # renaming, reordering or dropping an attribute changes the checkpoint layout
+    model = build_model(tiny_model_cfg(variant), seed=0)
+    got = []
+    for entries in (model.params(), model.buffers()):
+        layout = [(n, tuple(a.shape)) for n, a in entries]
+        got += [len(layout), hashlib.sha256(repr(layout).encode()).hexdigest()[:16]]
+    assert tuple(got) == _LAYOUT_SHA256[variant], (model.params(), model.buffers())
+
+
+def test_module_params_are_attribute_paths_in_assignment_order():
+    class Pair(Module):
+        BUFFERS = ("stat",)
+
+        def __init__(self):
+            self.z = ad.leaf(np.zeros(2), op="param")
+            self.stat = np.zeros(2)
+            self.a = ad.leaf(np.ones(3), op="param")
+
+    class Block(Module):
+        def __init__(self):
+            self.inner = Pair()
+
+    class Tree(Module):
+        def __init__(self):
+            self.first = ad.leaf(np.zeros(1), op="param")
+            self.skip_none = None
+            self.pair = Pair()
+            self.arr = np.zeros(4)
+            self.count = 7
+            self.const = ad.constant(np.zeros(5))
+            self.block = Block()
+            self.last = ad.leaf(np.zeros(6), op="param")
+
+    tree = Tree()
+    assert [n for n, _ in tree.params()] == [
+        "first", "pair.z", "pair.a", "block.inner.z", "block.inner.a", "last"]
+    assert tree.params()[3][1] is tree.block.inner.z
+    assert [n for n, _ in tree.buffers()] == ["pair.stat", "block.inner.stat"]
+    assert tree.n_params("block") == 5
 
 
 def test_variants_share_codec_shapes():
