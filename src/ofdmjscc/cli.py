@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -18,10 +19,10 @@ import numpy as np
 from . import __version__
 from . import cplx, gradcheck
 from .channel import apply_channel, freq_response, sample_channel, snr_to_sigma_sq
-from .config import format_config, load_config
+from .config import FIELD_TYPES, ExperimentConfig, format_config, load_config
 from .data import CheckpointError, load_checkpoint, save_checkpoint, synth_dataset
-from .model import ModelConfig, build_model
-from .ofdm import assemble_packet, disassemble_packet, make_pilots, papr_db
+from .model import build_model
+from .ofdm import assemble_packet, check_field_types, disassemble_packet, make_pilots, papr_db
 from .receiver import equalize_mmse, estimate_channel_mmse
 from .training import evaluate, rng_stream, train
 
@@ -58,18 +59,16 @@ def _sweep(text: str | None, kind: type, flag: str, default) -> list:
     return [kind(t) for t in items]
 
 
-# train_config keys read by cmd_eval and _dataset, by type
-_EVAL_FLOATS = ("snr_db", "clip_ratio", "gamma")
-_EVAL_KEYS = _EVAL_FLOATS + ("seed", "n_taps", "train_images", "test_images", "image_h",
-                             "image_w", "image_c", "dataset_seed", "realizations")
+def _config(args) -> ExperimentConfig:
+    """The ``--config`` file overridden by every flag that names a config field."""
+    return load_config(args.config, {k: v for k, v in vars(args).items() if k in FIELD_TYPES})
 
 
-def _dataset(cfg_dict: dict) -> tuple[np.ndarray, np.ndarray]:
+def _dataset(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Train/test split: one deterministic pool, first train then test images."""
-    n = cfg_dict["train_images"] + cfg_dict["test_images"]
-    pool = synth_dataset(n, cfg_dict["image_h"], cfg_dict["image_w"],
-                         cfg_dict["image_c"], cfg_dict["dataset_seed"])
-    return pool[:cfg_dict["train_images"]], pool[cfg_dict["train_images"]:]
+    pool = synth_dataset(cfg.train_images + cfg.test_images, cfg.image_h, cfg.image_w,
+                         cfg.image_c, cfg.dataset_seed)
+    return pool[:cfg.train_images], pool[cfg.train_images:]
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +76,11 @@ def _dataset(cfg_dict: dict) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed, "snr_db": args.snr_db,
-                                    "clip_ratio": args.clip_ratio})
+    cfg = _config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    train_images, _ = _dataset(cfg.to_dict())
+    train_images, _ = _dataset(cfg)
     model = build_model(cfg.model_config(), seed=cfg.seed)
     tcfg = cfg.train_config()
     print(f"training variant={cfg.variant} images={len(train_images)} "
@@ -106,33 +104,36 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path):
+    """The checkpoint's model and ``ExperimentConfig``; ``arch`` must be its model config."""
     ck = load_checkpoint(path)
+    tc, names = ck["train_config"], FIELD_TYPES.keys()
+    keys = set(tc) if isinstance(tc, dict) else set()
+    if keys != names:
+        raise CheckpointError(f"metadata train_config lacks {sorted(names - keys)}, "
+                              f"has unknown {sorted(keys - names)}")
     try:
-        mcfg = ModelConfig.from_dict(ck["arch"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"metadata arch is not a model config: {e!r}") from None
-    tc = ck["train_config"]
-    missing = [k for k in _EVAL_KEYS if not isinstance(tc, dict) or k not in tc]
-    if missing:
-        raise CheckpointError(f"metadata train_config lacks {missing}")
-    bad = {k: tc[k] for k in _EVAL_KEYS
-           if not (type(tc[k]) is int or (k in _EVAL_FLOATS and type(tc[k]) is float))}
-    if bad:
-        raise CheckpointError(f"metadata train_config has values of the wrong type: {bad}")
-    model = build_model(mcfg, seed=tc["seed"])
+        cfg = ExperimentConfig(**tc)
+        check_field_types(cfg)
+        mcfg = cfg.model_config()
+        cfg.train_config()
+    except ValueError as e:
+        raise CheckpointError(f"metadata train_config is not a valid config: {e}") from None
+    # JSON, not ==: 8.0 == 8 and True == 1
+    if json.dumps(ck["arch"], sort_keys=True) != json.dumps(mcfg.to_dict(), sort_keys=True):
+        raise CheckpointError("metadata arch does not match train_config")
+    model = build_model(mcfg, seed=cfg.seed)
     model.load_state(ck["params"], ck["buffers"])
-    return model, ck
+    return model, cfg
 
 
 def cmd_eval(args) -> int:
-    model, ck = _load_model(args.checkpoint)
-    tc = ck["train_config"]
-    _, test_images = _dataset(tc)
-    seed = tc["seed"] if args.seed is None else args.seed
-    snrs = _sweep(args.snr_db, float, "--snr-db", tc["snr_db"])
-    clips = _sweep(args.clip_ratio, float, "--clip-ratio", tc["clip_ratio"])
-    taps_list = _sweep(args.taps, int, "--taps", tc["n_taps"])
-    realizations = tc["realizations"] if args.realizations is None else args.realizations
+    model, cfg = _load_model(args.checkpoint)
+    _, test_images = _dataset(cfg)
+    seed = cfg.seed if args.seed is None else args.seed
+    snrs = _sweep(args.snr_db, float, "--snr-db", cfg.snr_db)
+    clips = _sweep(args.clip_ratio, float, "--clip-ratio", cfg.clip_ratio)
+    taps_list = _sweep(args.taps, int, "--taps", cfg.n_taps)
+    realizations = cfg.realizations if args.realizations is None else args.realizations
     if model.cfg.variant == "direct" and clips != [math.inf]:
         print(f"note: the direct variant never clips; clip_ratio "
               f"{','.join(map(_fmt, clips))} is evaluated and reported as inf",
@@ -144,7 +145,7 @@ def cmd_eval(args) -> int:
         for rho in clips:
             for n_taps in taps_list:
                 res = evaluate(model, test_images, snr_db=snr, clip_ratio=rho,
-                               n_taps=n_taps, gamma=float(tc["gamma"]),
+                               n_taps=n_taps, gamma=cfg.gamma,
                                realizations=realizations, seed=seed,
                                workers=args.workers)
                 rows.append([snr, rho, n_taps, model.cfg.variant, res.psnr_db,
@@ -169,8 +170,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_chain_demo(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed, "snr_db": args.snr_db,
-                                    "clip_ratio": args.clip_ratio})
+    cfg = _config(args)
     ocfg = cfg.model_config().ofdm
     snr, rho = cfg.snr_db, cfg.clip_ratio
     sigma_sq = snr_to_sigma_sq(snr)
@@ -221,12 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    tr = sub.add_parser("train", help="train a model and write a checkpoint")
-    tr.add_argument("--config", type=Path, default=None, help="key=value config file")
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--out", type=Path, required=True)
-    tr.add_argument("--snr-db", type=float, default=None, help="training SNR")
-    tr.add_argument("--clip-ratio", type=float, default=None, help="clipping ratio (inf ok)")
+    # train and chain-demo; each flag but --config and --out sets the config field of its name
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", type=Path, default=None, help="key=value config file")
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--out", type=Path, required=True)
+    shared.add_argument("--snr-db", type=float, default=None, help="SNR in dB")
+    shared.add_argument("--clip-ratio", type=float, default=None, help="clipping ratio (inf ok)")
+
+    tr = sub.add_parser("train", parents=[shared], help="train a model and write a checkpoint")
     tr.set_defaults(fn=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint over condition sweeps")
@@ -243,12 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser("gradcheck", help="finite-difference check of every op")
     gc.set_defaults(fn=cmd_gradcheck)
 
-    cd = sub.add_parser("chain-demo", help="run one packet through the DSP chain")
-    cd.add_argument("--config", type=Path, default=None)
-    cd.add_argument("--seed", type=int, default=None)
-    cd.add_argument("--out", type=Path, required=True)
-    cd.add_argument("--snr-db", type=float, default=None)
-    cd.add_argument("--clip-ratio", type=float, default=None)
+    cd = sub.add_parser("chain-demo", parents=[shared],
+                        help="run one packet through the DSP chain")
     cd.set_defaults(fn=cmd_chain_demo)
     return p
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .model import ModelConfig
-from .ofdm import OfdmConfig
+from .ofdm import OfdmConfig, field_types
 from .training import TrainConfig
 
 
@@ -66,23 +66,19 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
-_OPTIONAL_FLOATS = {"snr_db_min", "snr_db_max"}
+FIELD_TYPES = field_types(ExperimentConfig)
 
 
 def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    if key in _OPTIONAL_FLOATS and raw.lower() in ("none", ""):
+    raw, types = raw.strip(), FIELD_TYPES[key]
+    if type(None) in types and raw.lower() in ("none", ""):
         return None
-    default = _FIELDS[key].default
-    if key in _OPTIONAL_FLOATS or isinstance(default, float):
+    if float in types:
         v = float(raw)  # accepts "inf"
         if math.isnan(v):
             raise ValueError(f"{key}: nan is not a valid value")
         return v
-    if isinstance(default, int):
-        return int(raw)
-    return raw
+    return int(raw) if int in types else raw
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -96,7 +92,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ValueError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in FIELD_TYPES:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
             out[key] = _coerce(key, raw)
@@ -112,20 +108,13 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         with open(path) as f:
             values.update(parse_config_text(f.read(), source=str(path)))
     for k, v in (overrides or {}).items():
-        if v is None:
-            continue
-        if k not in _FIELDS:
+        if k not in FIELD_TYPES:
             raise ValueError(f"unknown config key {k!r}")
-        values[k] = v
+        if v is not None:
+            values[k] = v
     return ExperimentConfig(**values)
 
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical echo of the resolved config (stable key order)."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if v is None:
-            v = "none"
-        lines.append(f"{f.name}={v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k}={'none' if v is None else v}\n" for k, v in cfg.to_dict().items())

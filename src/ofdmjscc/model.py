@@ -66,13 +66,12 @@ class ModelConfig:
                              "(two stride-2 stages)")
         if self.image_c not in (1, 3):
             raise ValueError(f"image_c must be 1 or 3, got {self.image_c}")
+        for name in ("width1", "width2", "subnet_hidden", "head_hidden", "front_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)     # recurses into ofdm
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**{**d, "ofdm": OfdmConfig(**d["ofdm"])})
 
 
 class _ResBlock(Module):

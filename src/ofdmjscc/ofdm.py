@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -30,11 +30,18 @@ P_S = 1.0  # nominal average transmit power after normalization
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 
+def field_types(cls) -> dict[str, tuple]:
+    """Each field of dataclass ``cls`` and the types its annotation allows: ``X | None``
+    allows None, a float field also takes an int, and a bool is never a number."""
+    hints = {name: get_args(tp) or (tp,) for name, tp in get_type_hints(cls).items()}
+    return {name: tps + (int,) if float in tps else tps for name, tps in hints.items()}
+
+
 def check_field_types(cfg) -> None:
-    """Raise ``ValueError`` for a dataclass field not of its declared type (a bool is not an int)."""
-    for name, tp in get_type_hints(type(cfg)).items():
-        if type(getattr(cfg, name)) is not tp:
-            raise ValueError(f"{name} must be {tp.__name__}, got {getattr(cfg, name)!r}")
+    """Raise ``ValueError`` for a dataclass field of a type its annotation does not allow."""
+    for name, types in field_types(type(cfg)).items():
+        if type(v := getattr(cfg, name)) not in types:
+            raise ValueError(f"{name} must be {'|'.join(t.__name__ for t in types)}, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .autodiff import Node
 from .channel import awgn, sample_channel, snr_to_sigma_sq
 from .metrics import psnr, ssim_batch
 from .model import JsccModel
-from .ofdm import papr_db
+from .ofdm import check_field_types, papr_db
 
 DIVERGENCE_LOSS = 1e8
 EVAL_BATCH = 16   # (image, realization) pairs per evaluation forward pass
@@ -67,11 +67,8 @@ class Adam:
         self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def step(self, grads: dict[Node, np.ndarray], lr: float) -> None:
-        self.step_count += 1
-        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-        c1 = 1.0 - b1 ** self.step_count
-        c2 = 1.0 - b2 ** self.step_count
-        for i, (name, node) in enumerate(self.params):
+        # check every gradient before anything moves: a rejected step changes nothing
+        for name, node in self.params:
             if node not in grads:
                 # a parameter the loss cannot reach is a wiring bug, not a no-op
                 raise KeyError(f"Adam: no gradient for {name}")
@@ -81,7 +78,12 @@ class Adam:
             if g.shape != node.value.shape:
                 raise ValueError(f"Adam: gradient for {name} has shape {g.shape}, "
                                  f"parameter has {node.value.shape}")
-            g, m, v = g.reshape(-1), self.m[i].reshape(-1), self.v[i].reshape(-1)
+        self.step_count += 1
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        c1 = 1.0 - b1 ** self.step_count
+        c2 = 1.0 - b2 ** self.step_count
+        for i, (name, node) in enumerate(self.params):
+            g, m, v = grads[node].reshape(-1), self.m[i].reshape(-1), self.v[i].reshape(-1)
             p = node.value.reshape(-1)
             new = np.empty(p.shape)
             for lo in range(0, p.size, ADAM_BLOCK):
@@ -140,6 +142,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not 0 <= self.lr_decay_start <= self.epochs:
@@ -187,13 +190,14 @@ def train(model: JsccModel, images: np.ndarray, tcfg: TrainConfig,
             sigma_sq = snr_to_sigma_sq(snr)
             taps = sample_channel(rng, tcfg.n_taps, tcfg.gamma, batch=len(idx))
             noise = awgn(rng, (len(idx), model.rx_len), sigma_sq) if sigma_sq > 0.0 else None
-            recon, _ = model.forward(batch, taps, sigma_sq, tcfg.clip_ratio,
-                                     train=True, noise=noise)
+            recon = model.forward(batch, taps, sigma_sq, tcfg.clip_ratio,
+                                  train=True, noise=noise)[0]
             loss = mse_loss(recon, batch)
             lv = float(loss.value)
             if not math.isfinite(lv) or lv > DIVERGENCE_LOSS:
                 raise RuntimeError(f"training diverged at epoch {epoch}: loss={lv}")
             grads = ad.backward(loss)
+            del recon, loss     # free the forward graph before Adam's temporaries
             opt.step(grads, lr)
             total += lv * len(idx)
             seen += len(idx)

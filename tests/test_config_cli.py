@@ -1,6 +1,7 @@
 """Config file parsing and the four CLI entry points, exercised in-process
 (plus one subprocess check of the installed console script)."""
 
+import argparse
 import math
 import shlex
 import subprocess
@@ -8,13 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
+from ofdmjscc import cli
 from ofdmjscc.cli import CHAIN_HEADER, METRICS_HEADER, TRAIN_LOSS_HEADER, build_parser, main
-from ofdmjscc.config import (ExperimentConfig, format_config, load_config,
+from ofdmjscc.config import (FIELD_TYPES, ExperimentConfig, format_config, load_config,
                              parse_config_text)
 from ofdmjscc.data import save_checkpoint
-from ofdmjscc.model import ModelConfig, build_model
+from ofdmjscc.model import VARIANTS, ModelConfig, build_model
 from ofdmjscc.ofdm import OfdmConfig
 from ofdmjscc.training import TrainConfig
 
@@ -90,6 +94,41 @@ def test_format_config_round_trips():
     text = format_config(cfg)
     assert ExperimentConfig(**parse_config_text(text)) == cfg
     assert "snr_db_min=none" in text
+
+
+@st.composite
+def valid_configs(draw):
+    """An ExperimentConfig with every field drawn by its annotated type (floats
+    include +-inf, optional floats None), then the fields whose valid range
+    depends on another redrawn so model_config() and train_config() accept it."""
+    values = {}
+    for name, types in FIELD_TYPES.items():
+        if float in types:
+            kind = st.floats(allow_nan=False)
+            values[name] = draw(st.none() | kind if type(None) in types else kind)
+        elif int in types:
+            values[name] = draw(st.integers(1, 2 ** 40))
+        else:
+            values[name] = draw(st.sampled_from(VARIANTS))
+    values["l_fft"] = draw(st.integers(2, 2 ** 40))
+    pair = (values["snr_db_min"], values["snr_db_max"])
+    values["snr_db_min"], values["snr_db_max"] = (None, None) if None in pair else sorted(pair)
+    values.update(
+        image_h=4 * draw(st.integers(1, 64)), image_w=4 * draw(st.integers(1, 64)),
+        image_c=draw(st.sampled_from([1, 3])),
+        l_cp=draw(st.integers(0, values["l_fft"] - 1)),
+        lr_decay_start=draw(st.integers(0, values["epochs"])))
+    return ExperimentConfig(**values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+@example(ExperimentConfig())   # snr_db_min/max none, clip_ratio inf
+def test_format_config_round_trips_every_field(cfg):
+    cfg.model_config(), cfg.train_config()     # a valid config
+    text = format_config(cfg)
+    parsed = ExperimentConfig(**parse_config_text(text))
+    assert parsed == cfg and format_config(parsed) == text
 
 
 def test_sub_configs_match_hand_built():
@@ -194,12 +233,20 @@ def _drop(d: dict, key: str) -> dict:
     (lambda arch, tc: (arch, {**tc, "test_images": 2.0}), "train_config"),
     (lambda arch, tc: (arch, {**tc, "realizations": 2.5}), "train_config"),
     (lambda arch, tc: (arch, _drop(tc, "realizations")), "train_config"),
+    (lambda arch, tc: ({**arch, "ofdm": {**arch["ofdm"], "pilot_seed": 3}}, tc), "arch"),
+    (lambda arch, tc: (arch, {**tc, "image_h": 16}), "arch"),
+    (lambda arch, tc: (arch, {**tc, "lr": "x"}), "train_config"),
+    (lambda arch, tc: (arch, {**tc, "learning_rate": 1.0}), "train_config"),
+    (lambda arch, tc: (arch, {**tc, "epochs": 0}), "train_config"),
 ], ids=["arch_without_ofdm", "image_h_as_text", "train_config_without_snr_db",
         "width1_as_text", "head_hidden_as_float", "width2_as_bool", "l_fft_as_float",
         "seed_as_text", "test_images_as_float", "realizations_as_float",
-        "train_config_without_realizations"])
+        "train_config_without_realizations", "arch_pilot_seed_differs",
+        "train_config_image_h_differs", "lr_as_text", "train_config_unknown_key",
+        "epochs_zero"])
 def test_cli_eval_malformed_checkpoint_metadata(tmp_path, capsys, edit, section):
-    # a hand-edited arch or train_config is a corrupt checkpoint, not a stray exception
+    # a hand-edited arch or train_config is a corrupt checkpoint, not a stray exception;
+    # eval reads the whole train_config as a config and arch must be its model config
     cfg = load_config(None, parse_config_text(TINY_CFG))
     model = build_model(cfg.model_config(), seed=cfg.seed)
     arch, tc = edit(model.cfg.to_dict(), cfg.to_dict())
@@ -283,6 +330,22 @@ def test_cli_gradcheck_exit_codes(capsys):
     with ad.perturb_vjp("mul", 1.003):
         assert main(["gradcheck"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_shared_flags_are_config_fields():
+    # train and chain-demo take their flags from one parent parser, and cli._config
+    # passes on only the flags named after a config field, so a misnamed flag
+    # would otherwise be dropped without a word
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    train, demo = ({a.dest for a in sub.choices[name]._actions} - {"help"}
+                   for name in ("train", "chain-demo"))
+    assert train == demo and {"config", "out"} < train
+    assert train - {"config", "out"} <= FIELD_TYPES.keys()
+    args = parser.parse_args(["chain-demo", "--out", "x", "--seed", "5",
+                              "--snr-db", "3", "--clip-ratio", "1.5"])
+    cfg = cli._config(args)
+    assert (cfg.seed, cfg.snr_db, cfg.clip_ratio) == (5, 3.0, 1.5)
 
 
 def test_cli_rejects_unknown_arguments():

@@ -1,6 +1,7 @@
 """Layers and the three transceiver variants: values against numpy references,
 statistics in train/eval mode, parameter budgets and initialization contracts."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -255,11 +256,6 @@ def test_subnets_are_within_one_percent_of_decoder():
         model.n_params("sub"), model.n_params("dec"))
 
 
-def test_model_config_round_trip():
-    cfg = tiny_model_cfg("implicit")
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
-
 def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(variant="explicit", image_h=10, image_w=8, image_c=1,
@@ -267,6 +263,15 @@ def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(variant="nope", image_h=8, image_w=8, image_c=1,
                     ofdm=OfdmConfig(l_fft=8, l_cp=4, n_p=2, n_s=2))
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("name", ["width1", "width2", "subnet_hidden", "head_hidden",
+                                  "front_hidden"])
+def test_model_config_rejects_sizes_below_one(name, size):
+    # a size below 1 must not build an empty layer or fail deep inside numpy
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        dataclasses.replace(tiny_model_cfg("explicit"), **{name: size})
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,22 @@ def test_adam_zero_gradient_is_noop():
     assert np.array_equal(node.value, [1.0, 2.0])
 
 
+def _adam_snapshot(opt):
+    """Everything a step may change: the step count, both moment lists and every parameter."""
+    state = opt.state()
+    return state["step"], [x.tobytes() for x in
+                           state["m"] + state["v"] + [p.value for _, p in opt.params]]
+
+
 def test_adam_missing_gradient_is_an_error(rng):
     # a parameter the loss cannot reach indicates a wiring bug
     a = ad.leaf(np.ones(2), op="param")
     b = ad.leaf(np.ones(2), op="param")
     opt = Adam([("a", a), ("b", b)])
+    before = _adam_snapshot(opt)
     with pytest.raises(KeyError, match="b"):
         opt.step({a: np.ones(2)}, lr=0.1)
+    assert _adam_snapshot(opt) == before     # a rejected step changes nothing
 
 
 def test_adam_gets_no_gradient_through_no_grad(rng):
@@ -116,13 +125,13 @@ def test_adam_nonfinite_gradient_leaves_that_tensor_untouched(rng):
     b = ad.leaf(rng.standard_normal((2, 3)), op="param")
     opt = Adam([("a", a), ("b", b)])
     opt.step({a: rng.standard_normal(4), b: rng.standard_normal((2, 3))}, lr=0.1)
-    b_value, b_m, b_v = b.value, opt.m[1].copy(), opt.v[1].copy()
+    b_value, before = b.value, _adam_snapshot(opt)
     bad = rng.standard_normal((2, 3))
     bad[1, 2] = np.nan
     with pytest.raises(FloatingPointError, match="b"):
         opt.step({a: rng.standard_normal(4), b: bad}, lr=0.1)
     assert b.value is b_value
-    assert np.array_equal(opt.m[1], b_m) and np.array_equal(opt.v[1], b_v)
+    assert _adam_snapshot(opt) == before     # nor does a, listed before b, move
 
 
 def test_adam_rejects_gradient_of_wrong_shape():
@@ -195,6 +204,16 @@ def test_train_config_validation():
         TrainConfig(snr_db_min=5.0)  # half-open random-SNR range
     cfg = TrainConfig(snr_db_min=0.0, snr_db_max=20.0)
     assert cfg.random_snr
+
+
+@pytest.mark.parametrize("field, value", [("lr", "x"), ("epochs", 2.0), ("epochs", True),
+                                          ("snr_db", True), ("snr_db_min", "none")])
+def test_train_config_field_types(field, value):
+    # types come from the annotations: X | None allows None, a float field takes
+    # an int, and a bool is never a number
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        TrainConfig(**{field: value})
+    assert TrainConfig(lr=1, snr_db_min=None, snr_db_max=None).lr == 1
 
 
 def test_rng_stream_keys_are_independent():
