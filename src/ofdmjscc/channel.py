@@ -56,7 +56,9 @@ def awgn(rng: np.random.Generator, shape: tuple, sigma_sq: float) -> np.ndarray:
 
 def snr_to_sigma_sq(snr_db: float) -> float:
     """Noise variance sigma^2 (total, both components) for a given SNR in dB
-    relative to the normalized transmit power ``P_S``."""
+    relative to the normalized transmit power ``P_S``; ``inf`` is noiseless."""
+    if not snr_db > -np.inf:
+        raise ValueError(f"snr_to_sigma_sq: snr_db must be > -inf, got {snr_db}")
     return P_S * 10.0 ** (-float(snr_db) / 10.0)
 
 

@@ -22,7 +22,7 @@ from .channel import apply_channel, freq_response, sample_channel, snr_to_sigma_
 from .config import FIELD_TYPES, ExperimentConfig, format_config, load_config
 from .data import CheckpointError, load_checkpoint, save_checkpoint, synth_dataset
 from .model import build_model
-from .ofdm import assemble_packet, check_field_types, disassemble_packet, make_pilots, papr_db
+from .ofdm import assemble_packet, disassemble_packet, make_pilots, papr_db
 from .receiver import equalize_mmse, estimate_channel_mmse
 from .training import evaluate, rng_stream, train
 
@@ -113,7 +113,6 @@ def _load_model(path):
                               f"has unknown {sorted(keys - names)}")
     try:
         cfg = ExperimentConfig(**tc)
-        check_field_types(cfg)
         mcfg = cfg.model_config()
         cfg.train_config()
     except ValueError as e:

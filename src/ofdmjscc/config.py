@@ -8,48 +8,36 @@ file values. ``none`` / ``inf`` are accepted where the type allows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
+from typing import get_type_hints
 
 from .model import ModelConfig
-from .ofdm import OfdmConfig, field_types
+from .ofdm import OfdmConfig, check_field_types, field_types
 from .training import TrainConfig
+
+_SubConfigFields = make_dataclass(
+    "_SubConfigFields",
+    [(f.name, get_type_hints(cls)[f.name], field(default=f.default))
+     for cls in (ModelConfig, OfdmConfig, TrainConfig) for f in fields(cls) if f.name != "ofdm"],
+    frozen=True)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    # model / chain
-    variant: str = "explicit"
-    image_h: int = 32
-    image_w: int = 32
-    image_c: int = 3
-    width1: int = 32
-    width2: int = 64
-    subnet_hidden: int = 8
-    head_hidden: int = 256
-    front_hidden: int = 32
-    l_fft: int = 64
-    l_cp: int = 16
-    n_p: int = 2
-    n_s: int = 6
-    pilot_seed: int = 7
-    # channel
-    n_taps: int = 8
-    gamma: float = 4.0
-    snr_db: float = 10.0
-    snr_db_min: float | None = None
-    snr_db_max: float | None = None
-    clip_ratio: float = math.inf
-    # data
+class ExperimentConfig(_SubConfigFields):
+    """Every field of ModelConfig (but ``ofdm``), OfdmConfig and TrainConfig as its class
+    declares it, then the data set and evaluation fields. A built config is type-checked;
+    model_config() and train_config() check the sub-config ranges."""
+
     train_images: int = 200
     test_images: int = 50
     dataset_seed: int = 1234
-    # optimization
-    epochs: int = 40
-    batch_size: int = 16
-    lr: float = 1e-3
-    lr_decay_start: int = 20
     realizations: int = 5
-    seed: int = 0
+
+    def __post_init__(self):
+        check_field_types(self)
+        for name in ("train_images", "test_images", "realizations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def _fields_of(self, cls, skip: tuple = ()) -> dict:
         """This config's values for the fields of dataclass ``cls``."""

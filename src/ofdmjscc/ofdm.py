@@ -14,6 +14,7 @@ Conventions (fixed across the package):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
@@ -30,6 +31,7 @@ P_S = 1.0  # nominal average transmit power after normalization
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 
+@functools.cache
 def field_types(cls) -> dict[str, tuple]:
     """Each field of dataclass ``cls`` and the types its annotation allows: ``X | None``
     allows None, a float field also takes an int, and a bool is never a number."""

@@ -145,12 +145,15 @@ class TrainConfig:
         check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be in (0, inf), got {self.lr}")
         if not 0 <= self.lr_decay_start <= self.epochs:
             raise ValueError("lr_decay_start must be in [0, epochs]")
         if (self.snr_db_min is None) != (self.snr_db_max is None):
             raise ValueError("set both snr_db_min and snr_db_max or neither")
-        if self.snr_db_min is not None and self.snr_db_min > self.snr_db_max:
-            raise ValueError("snr_db_min > snr_db_max")
+        if self.random_snr and not -math.inf < self.snr_db_min <= self.snr_db_max < math.inf:
+            raise ValueError(f"need finite snr_db_min <= snr_db_max, got "
+                             f"{self.snr_db_min}, {self.snr_db_max}")
 
     @property
     def random_snr(self) -> bool:

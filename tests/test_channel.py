@@ -60,6 +60,13 @@ def test_snr_to_sigma_sq():
     assert snr_to_sigma_sq(math.inf) == 0.0
 
 
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+def test_snr_to_sigma_sq_rejects_minus_inf_and_nan(snr_db):
+    # +inf is noiseless; -inf would be infinite noise, nan no noise level at all
+    with pytest.raises(ValueError, match="snr_db must be > -inf"):
+        snr_to_sigma_sq(snr_db)
+
+
 def test_apply_channel_is_leading_aligned_convolution(rng):
     # oracle: y_out[t] = sum_l h[l] * y[t - l], zero history before t=0
     t_len, n_taps = 20, 4

@@ -99,8 +99,8 @@ def test_format_config_round_trips():
 @st.composite
 def valid_configs(draw):
     """An ExperimentConfig with every field drawn by its annotated type (floats
-    include +-inf, optional floats None), then the fields whose valid range
-    depends on another redrawn so model_config() and train_config() accept it."""
+    include +-inf, optional floats None), then the fields with a narrower valid
+    range redrawn so model_config() and train_config() accept it."""
     values = {}
     for name, types in FIELD_TYPES.items():
         if float in types:
@@ -111,8 +111,10 @@ def valid_configs(draw):
         else:
             values[name] = draw(st.sampled_from(VARIANTS))
     values["l_fft"] = draw(st.integers(2, 2 ** 40))
-    pair = (values["snr_db_min"], values["snr_db_max"])
-    values["snr_db_min"], values["snr_db_max"] = (None, None) if None in pair else sorted(pair)
+    values["lr"] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    pair = draw(st.none() | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=2, max_size=2))
+    values["snr_db_min"], values["snr_db_max"] = (None, None) if pair is None else sorted(pair)
     values.update(
         image_h=4 * draw(st.integers(1, 64)), image_w=4 * draw(st.integers(1, 64)),
         image_c=draw(st.sampled_from([1, 3])),
@@ -150,6 +152,23 @@ def test_sub_configs_match_hand_built():
     assert toy.train_config() == TrainConfig(
         epochs=30, batch_size=8, lr=2e-3, lr_decay_start=15, snr_db=7.0, snr_db_min=1.0,
         snr_db_max=9.0, clip_ratio=1.4, n_taps=5, gamma=2.0, seed=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("train_images", 0), ("train_images", -2), ("test_images", 0), ("realizations", 0),
+    ("epochs", 1.5), ("train_images", "3"), ("variant", 1)])
+def test_experiment_config_is_checked_when_built(field, value):
+    # every field's type and the data fields' ranges; the sub-config ranges are
+    # checked by model_config()/train_config()
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ExperimentConfig(**{field: value})
+
+
+def test_load_config_rejects_zero_train_images(tmp_path):
+    path = tmp_path / "zero.cfg"
+    path.write_text(TINY_CFG.replace("train_images = 6", "train_images = 0"))
+    with pytest.raises(ValueError, match="train_images must be >= 1"):
+        load_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +257,15 @@ def _drop(d: dict, key: str) -> dict:
     (lambda arch, tc: (arch, {**tc, "lr": "x"}), "train_config"),
     (lambda arch, tc: (arch, {**tc, "learning_rate": 1.0}), "train_config"),
     (lambda arch, tc: (arch, {**tc, "epochs": 0}), "train_config"),
+    (lambda arch, tc: (arch, {**tc, "train_images": -2}), "train_config"),
+    (lambda arch, tc: (arch, {**tc, "test_images": 0}), "train_config"),
+    (lambda arch, tc: (arch, {**tc, "realizations": 0}), "train_config"),
 ], ids=["arch_without_ofdm", "image_h_as_text", "train_config_without_snr_db",
         "width1_as_text", "head_hidden_as_float", "width2_as_bool", "l_fft_as_float",
         "seed_as_text", "test_images_as_float", "realizations_as_float",
         "train_config_without_realizations", "arch_pilot_seed_differs",
         "train_config_image_h_differs", "lr_as_text", "train_config_unknown_key",
-        "epochs_zero"])
+        "epochs_zero", "train_images_negative", "test_images_zero", "realizations_zero"])
 def test_cli_eval_malformed_checkpoint_metadata(tmp_path, capsys, edit, section):
     # a hand-edited arch or train_config is a corrupt checkpoint, not a stray exception;
     # eval reads the whole train_config as a config and arch must be its model config
@@ -267,6 +289,35 @@ def test_cli_eval_zero_realizations_rejected(tmp_path, tiny_cfg_file, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("train_images = 6", "train_images = -2", "train_images must be >= 1"),
+    ("test_images = 2", "test_images = 0", "test_images must be >= 1"),
+    ("seed = 11", "seed = 11\nlr = -0.001", "lr must be in (0, inf)"),
+    ("seed = 11", "seed = 11\nlr = 0", "lr must be in (0, inf)"),
+    ("seed = 11", "seed = 11\nlr = inf", "lr must be in (0, inf)"),
+    ("seed = 11", "seed = 11\nsnr_db_min = -inf\nsnr_db_max = 0", "need finite snr_db_min"),
+], ids=["train_images_negative", "test_images_zero", "lr_negative", "lr_zero", "lr_inf",
+        "snr_db_min_minus_inf"])
+def test_cli_train_rejects_out_of_range_settings(tmp_path, capsys, old, new, message):
+    # each must stop before training, with an error that names the setting
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG.replace(old, new))
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.jscc").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "chain-demo"])
+def test_cli_minus_inf_snr_rejected(tmp_path, tiny_cfg_file, capsys, command):
+    source = (["--checkpoint", str(_train(tmp_path, tiny_cfg_file) / "checkpoint.jscc")]
+              if command == "eval" else ["--config", str(tiny_cfg_file)])
+    capsys.readouterr()
+    rc = main([command, *source, "--out", str(tmp_path / "bad"), "--snr-db=-inf"])
+    assert rc == 1
+    assert "error: snr_to_sigma_sq: snr_db must be > -inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [",", "10,,1"])

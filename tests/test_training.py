@@ -206,6 +206,19 @@ def test_train_config_validation():
     assert cfg.random_snr
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"lr": -1e-3}, "lr must be"), ({"lr": 0.0}, "lr must be"), ({"lr": math.inf}, "lr must be"),
+    ({"lr": math.nan}, "lr must be"),
+    ({"snr_db_min": -math.inf, "snr_db_max": 0.0}, "need finite snr_db_min"),
+    ({"snr_db_min": 0.0, "snr_db_max": math.inf}, "need finite snr_db_min"),
+    ({"snr_db_min": 5.0, "snr_db_max": 1.0}, "need finite snr_db_min <= snr_db_max")],
+    ids=["lr_negative", "lr_zero", "lr_inf", "lr_nan", "snr_db_min_minus_inf",
+         "snr_db_max_inf", "snr_db_min_above_max"])
+def test_train_config_rejects_bad_lr_and_snr_range(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**overrides)
+
+
 @pytest.mark.parametrize("field, value", [("lr", "x"), ("epochs", 2.0), ("epochs", True),
                                           ("snr_db", True), ("snr_db_min", "none")])
 def test_train_config_field_types(field, value):
