@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -91,20 +90,18 @@ def cmd_train(args) -> int:
     _write_csv(out / "train_loss.csv", TRAIN_LOSS_HEADER,
                [[r["epoch"], r["loss"], r["lr"], r["steps"]] for r in history])
     (out / "config.txt").write_text(format_config(cfg))
-    opt = model._last_opt
     save_checkpoint(out / "checkpoint.jscc",
-                    arch=model.cfg.to_dict(),
                     params=[(n, p.value) for n, p in model.params()],
+                    buffers=model.buffers(),
                     train_config=cfg.to_dict(),
-                    opt_state=opt.state(),
-                    rng_state=model._last_rng_state,
-                    buffers=model.buffers())
+                    opt_state=model._last_opt.state(),
+                    rng_state=model._last_rng_state)
     print(f"wrote {out / 'checkpoint.jscc'}", file=sys.stderr)
     return 0
 
 
 def _load_model(path):
-    """The checkpoint's model and ``ExperimentConfig``; ``arch`` must be its model config."""
+    """The checkpoint's model, built from its ``train_config``, and that ``ExperimentConfig``."""
     ck = load_checkpoint(path)
     tc, names = ck["train_config"], FIELD_TYPES.keys()
     keys = set(tc) if isinstance(tc, dict) else set()
@@ -113,15 +110,13 @@ def _load_model(path):
                               f"has unknown {sorted(keys - names)}")
     try:
         cfg = ExperimentConfig(**tc)
-        mcfg = cfg.model_config()
-        cfg.train_config()
     except ValueError as e:
         raise CheckpointError(f"metadata train_config is not a valid config: {e}") from None
-    # JSON, not ==: 8.0 == 8 and True == 1
-    if json.dumps(ck["arch"], sort_keys=True) != json.dumps(mcfg.to_dict(), sort_keys=True):
-        raise CheckpointError("metadata arch does not match train_config")
-    model = build_model(mcfg, seed=cfg.seed)
-    model.load_state(ck["params"], ck["buffers"])
+    model = build_model(cfg.model_config(), seed=cfg.seed)
+    try:
+        model.load_state(ck["params"], ck["buffers"])
+    except ValueError as e:
+        raise CheckpointError(f"metadata train_config does not fit the tensors: {e}") from None
     return model, cfg
 
 

@@ -25,8 +25,8 @@ _SubConfigFields = make_dataclass(
 @dataclass(frozen=True)
 class ExperimentConfig(_SubConfigFields):
     """Every field of ModelConfig (but ``ofdm``), OfdmConfig and TrainConfig as its class
-    declares it, then the data set and evaluation fields. A built config is type-checked;
-    model_config() and train_config() check the sub-config ranges."""
+    declares it, then the data set and evaluation fields. A built config has passed every
+    type and range check: its own and those of the sub-configs it builds."""
 
     train_images: int = 200
     test_images: int = 50
@@ -38,6 +38,9 @@ class ExperimentConfig(_SubConfigFields):
         for name in ("train_images", "test_images", "realizations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dataset_seed < 0:
+            raise ValueError(f"dataset_seed must be >= 0, got {self.dataset_seed}")
+        self.model_config(), self.train_config()     # each checks its own ranges
 
     def _fields_of(self, cls, skip: tuple = ()) -> dict:
         """This config's values for the fields of dataclass ``cls``."""
@@ -70,8 +73,10 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse ``key=value`` lines ('#' comments allowed) into typed overrides."""
-    out = {}
+    """Parse ``key=value`` lines ('#' comments allowed) into typed overrides.
+
+    A key given twice raises, naming both lines."""
+    out, line_of = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -82,6 +87,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key = key.strip()
         if key not in FIELD_TYPES:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in line_of:
+            raise ValueError(f"{source}:{lineno}: {key!r} repeats line {line_of[key]}")
+        line_of[key] = lineno
         try:
             out[key] = _coerce(key, raw)
         except ValueError as e:

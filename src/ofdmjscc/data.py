@@ -4,9 +4,10 @@ Images live in memory as float64 arrays of shape (H, W, C) with values in
 [0, 1]; C is 1 (PGM) or 3 (PPM), maxval is fixed to 255.
 
 Checkpoints are a single binary file: magic ``JSCC1``, a version word, then
-length-prefixed sections (JSON metadata, parameter blob, optimizer moment
-blobs) with all floats little-endian float64. Saving and loading round-trips
-bitwise.
+length-prefixed sections (JSON metadata, parameter blob, buffer blob,
+optimizer moment blobs) with all floats little-endian float64. The metadata's
+``train_config`` is the only description of the model. Saving and loading
+round-trips bitwise.
 """
 
 from __future__ import annotations
@@ -162,43 +163,33 @@ def _read_section(f: BinaryIO) -> bytes:
     return payload
 
 
-def save_checkpoint(path, arch: dict, params: list[tuple[str, np.ndarray]],
-                    train_config: dict, opt_state: dict | None = None,
-                    rng_state: dict | None = None,
-                    buffers: list[tuple[str, np.ndarray]] = ()) -> None:
+def save_checkpoint(path, *, params: list[tuple[str, np.ndarray]],
+                    buffers: list[tuple[str, np.ndarray]], train_config: dict,
+                    opt_state: dict, rng_state: dict) -> None:
     """Serialize model + training state.
 
     ``params`` are the trainable tensors (order defines the blob layout and
     must match the optimizer moments); ``buffers`` are non-trained state such
-    as normalization running statistics.
+    as normalization running statistics; ``train_config`` is the settings
+    dict the model is rebuilt from.
     """
     meta = {
-        "arch": arch,
         "train_config": train_config,
         "rng_state": rng_state,
         "params": [{"name": name, "shape": list(np.asarray(v).shape)}
                    for name, v in params],
         "buffers": [{"name": name, "shape": list(np.asarray(v).shape)}
                     for name, v in buffers],
-        "opt": None if opt_state is None else {"step": int(opt_state["step"])},
+        "opt": {"step": int(opt_state["step"])},
     }
-    blob = b"".join(np.ascontiguousarray(v, dtype="<f8").tobytes() for _, v in params)
-    buf_blob = b"".join(np.ascontiguousarray(v, dtype="<f8").tobytes() for _, v in buffers)
-    if opt_state is not None:
-        m_blob = b"".join(np.ascontiguousarray(m, dtype="<f8").tobytes()
-                          for m in opt_state["m"])
-        v_blob = b"".join(np.ascontiguousarray(v, dtype="<f8").tobytes()
-                          for v in opt_state["v"])
-    else:
-        m_blob = v_blob = b""
+    blobs = [[v for _, v in params], [v for _, v in buffers], opt_state["m"], opt_state["v"]]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         _write_section(f, json.dumps(meta, sort_keys=True).encode())
-        _write_section(f, blob)
-        _write_section(f, buf_blob)
-        _write_section(f, m_blob)
-        _write_section(f, v_blob)
+        for arrays in blobs:
+            _write_section(f, b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                                       for a in arrays))
 
 
 def _split_blob(blob: bytes, shapes: list[tuple[int, ...]], what: str) -> list[np.ndarray]:
@@ -215,7 +206,7 @@ def _split_blob(blob: bytes, shapes: list[tuple[int, ...]], what: str) -> list[n
     return out
 
 
-_META_KEYS = ("arch", "train_config", "rng_state", "params", "buffers", "opt")
+_META_KEYS = ("train_config", "rng_state", "params", "buffers", "opt")
 
 
 def _entries(meta: dict, key: str) -> tuple[list[str], list[tuple[int, ...]]]:
@@ -238,8 +229,9 @@ def _entries(meta: dict, key: str) -> tuple[list[str], list[tuple[int, ...]]]:
 def load_checkpoint(path) -> dict:
     """Inverse of :func:`save_checkpoint`.
 
-    Returns ``{"arch", "train_config", "rng_state", "params", "opt_state"}``
-    where ``params`` is a list of (name, array). Raises
+    Returns ``{"train_config", "rng_state", "params", "buffers", "opt_state"}``
+    where ``params`` and ``buffers`` are lists of (name, array). Metadata keys
+    it does not read (the ``arch`` of older files) are ignored. Raises
     :class:`CheckpointError` on bad magic/version, truncation, trailing bytes,
     metadata missing a section or an entry's name/shape, a shape or step that
     is not a non-negative integer (list), or blob/shape mismatches.
@@ -274,23 +266,16 @@ def load_checkpoint(path) -> dict:
     values = _split_blob(blob, shapes, "parameter")
     buf_names, buf_shapes = _entries(meta, "buffers")
     buf_values = _split_blob(buf_blob, buf_shapes, "buffer")
-    opt_state = None
-    if meta["opt"] is not None:
-        if not isinstance(meta["opt"], dict) or "step" not in meta["opt"]:
-            raise CheckpointError("metadata opt lacks step")
-        step = meta["opt"]["step"]
-        if type(step) is not int or step < 0:
-            raise CheckpointError(f"metadata opt has bad step {step!r}")
-        opt_state = {
-            "step": step,
-            "m": _split_blob(m_blob, shapes, "optimizer m"),
-            "v": _split_blob(v_blob, shapes, "optimizer v"),
-        }
+    if not isinstance(meta["opt"], dict) or "step" not in meta["opt"]:
+        raise CheckpointError("metadata opt lacks step")
+    step = meta["opt"]["step"]
+    if type(step) is not int or step < 0:
+        raise CheckpointError(f"metadata opt has bad step {step!r}")
     return {
-        "arch": meta["arch"],
         "train_config": meta["train_config"],
         "rng_state": meta["rng_state"],
         "params": list(zip(names, values)),
         "buffers": list(zip(buf_names, buf_values)),
-        "opt_state": opt_state,
+        "opt_state": {"step": step, "m": _split_blob(m_blob, shapes, "optimizer m"),
+                      "v": _split_blob(v_blob, shapes, "optimizer v")},
     }

@@ -27,7 +27,7 @@ path, ``enc.res.conv_a.w``): renaming one breaks old checkpoints, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class ModelConfig:
         for name in ("width1", "width2", "subnet_hidden", "head_hidden", "front_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)     # recurses into ofdm
 
 
 class _ResBlock(Module):

@@ -64,6 +64,8 @@ class OfdmConfig:
             raise ValueError(f"l_cp must be in [0, l_fft), got {self.l_cp}")
         if self.n_p < 1 or self.n_s < 1:
             raise ValueError("need at least one pilot and one data symbol")
+        if self.pilot_seed < 0:
+            raise ValueError(f"pilot_seed must be >= 0, got {self.pilot_seed}")
 
     @property
     def rows(self) -> int:

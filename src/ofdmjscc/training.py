@@ -154,6 +154,16 @@ class TrainConfig:
         if self.random_snr and not -math.inf < self.snr_db_min <= self.snr_db_max < math.inf:
             raise ValueError(f"need finite snr_db_min <= snr_db_max, got "
                              f"{self.snr_db_min}, {self.snr_db_max}")
+        if not self.snr_db > -math.inf:     # also rejects nan
+            raise ValueError(f"snr_db must be > -inf, got {self.snr_db}")
+        if not self.clip_ratio > 0:         # inf: no clipping
+            raise ValueError(f"clip_ratio must be > 0, got {self.clip_ratio}")
+        if not self.gamma > 0:              # inf: a flat power profile
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.n_taps < 1:
+            raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def random_snr(self) -> bool:
@@ -258,6 +268,8 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
         raise ValueError("evaluate: realizations must be >= 1")
     if workers < 1:
         raise ValueError(f"evaluate: workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ValueError(f"evaluate: seed must be >= 0, got {seed}")
     n = images.shape[0]
     if n < 1:
         raise ValueError("evaluate: empty image set")

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -39,3 +42,16 @@ def ofdm_geometry(draw):
                      n_p=draw(st.integers(1, 3)), n_s=draw(st.integers(1, 4)),
                      pilot_seed=draw(st.integers(0, 99)))
     return cfg, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON metadata section in place (the
+    section after the 5-byte magic and the 4-byte version)."""
+    raw = bytearray(path.read_bytes())
+    meta_len = struct.unpack_from("<Q", raw, 9)[0]
+    meta = json.loads(bytes(raw[17:17 + meta_len]))
+    edit(meta)
+    new_meta = json.dumps(meta, sort_keys=True).encode()
+    struct.pack_into("<Q", raw, 9, len(new_meta))
+    raw[17:17 + meta_len] = new_meta
+    path.write_bytes(bytes(raw))

@@ -6,8 +6,10 @@ import math
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from ofdmjscc.data import save_checkpoint
 from ofdmjscc.model import VARIANTS, ModelConfig, build_model
 from ofdmjscc.ofdm import OfdmConfig
 from ofdmjscc.training import TrainConfig
+
+from conftest import rewrite_meta
 
 TINY_CFG = """
 # minimal geometry for fast end-to-end runs
@@ -70,6 +74,12 @@ def test_parse_unknown_key_names_the_line():
         parse_config_text("epochs=1\n\nlearning_rate=2\n", source="my.cfg")
 
 
+def test_parse_repeated_key_names_both_lines():
+    # a stale earlier line must not be overridden without a word
+    with pytest.raises(ValueError, match=r"my\.cfg:3: 'epochs' repeats line 1"):
+        parse_config_text("epochs=1\nlr=0.1\nepochs = 2\n", source="my.cfg")
+
+
 def test_parse_bad_value_and_shape():
     with pytest.raises(ValueError, match="epochs"):
         parse_config_text("epochs=three")
@@ -100,7 +110,7 @@ def test_format_config_round_trips():
 def valid_configs(draw):
     """An ExperimentConfig with every field drawn by its annotated type (floats
     include +-inf, optional floats None), then the fields with a narrower valid
-    range redrawn so model_config() and train_config() accept it."""
+    range redrawn into it, so the built config passes every range check."""
     values = {}
     for name, types in FIELD_TYPES.items():
         if float in types:
@@ -112,6 +122,9 @@ def valid_configs(draw):
             values[name] = draw(st.sampled_from(VARIANTS))
     values["l_fft"] = draw(st.integers(2, 2 ** 40))
     values["lr"] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    for name in ("gamma", "clip_ratio"):                 # > 0, inf allowed
+        values[name] = draw(st.floats(0.0, exclude_min=True))
+    values["snr_db"] = draw(st.floats(-math.inf, exclude_min=True))   # +inf: noiseless
     pair = draw(st.none() | st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                      min_size=2, max_size=2))
     values["snr_db_min"], values["snr_db_max"] = (None, None) if pair is None else sorted(pair)
@@ -127,7 +140,6 @@ def valid_configs(draw):
 @given(valid_configs())
 @example(ExperimentConfig())   # snr_db_min/max none, clip_ratio inf
 def test_format_config_round_trips_every_field(cfg):
-    cfg.model_config(), cfg.train_config()     # a valid config
     text = format_config(cfg)
     parsed = ExperimentConfig(**parse_config_text(text))
     assert parsed == cfg and format_config(parsed) == text
@@ -156,10 +168,13 @@ def test_sub_configs_match_hand_built():
 
 @pytest.mark.parametrize("field, value", [
     ("train_images", 0), ("train_images", -2), ("test_images", 0), ("realizations", 0),
-    ("epochs", 1.5), ("train_images", "3"), ("variant", 1)])
+    ("epochs", 1.5), ("train_images", "3"), ("variant", 1), ("lr", 0.0), ("width1", 0),
+    ("l_fft", 1), ("seed", -1), ("dataset_seed", -1), ("pilot_seed", -1), ("n_taps", 0),
+    ("gamma", -1.0), ("gamma", 0.0), ("clip_ratio", 0.0), ("clip_ratio", -1.0),
+    ("snr_db", math.nan), ("snr_db", -math.inf)])
 def test_experiment_config_is_checked_when_built(field, value):
-    # every field's type and the data fields' ranges; the sub-config ranges are
-    # checked by model_config()/train_config()
+    # every field's type and range, the sub-configs' included: a built config
+    # needs no further check
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ExperimentConfig(**{field: value})
 
@@ -240,44 +255,73 @@ def _drop(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
 
 
-@pytest.mark.parametrize("edit, section", [
-    (lambda arch, tc: (_drop(arch, "ofdm"), tc), "arch"),
-    (lambda arch, tc: ({**arch, "image_h": "8"}, tc), "arch"),
-    (lambda arch, tc: (arch, _drop(tc, "snr_db")), "train_config"),
-    (lambda arch, tc: ({**arch, "width1": "4"}, tc), "arch"),
-    (lambda arch, tc: ({**arch, "head_hidden": 8.0}, tc), "arch"),
-    (lambda arch, tc: ({**arch, "width2": True}, tc), "arch"),
-    (lambda arch, tc: ({**arch, "ofdm": {**arch["ofdm"], "l_fft": 8.0}}, tc), "arch"),
-    (lambda arch, tc: (arch, {**tc, "seed": "x"}), "train_config"),
-    (lambda arch, tc: (arch, {**tc, "test_images": 2.0}), "train_config"),
-    (lambda arch, tc: (arch, {**tc, "realizations": 2.5}), "train_config"),
-    (lambda arch, tc: (arch, _drop(tc, "realizations")), "train_config"),
-    (lambda arch, tc: ({**arch, "ofdm": {**arch["ofdm"], "pilot_seed": 3}}, tc), "arch"),
-    (lambda arch, tc: (arch, {**tc, "image_h": 16}), "arch"),
-    (lambda arch, tc: (arch, {**tc, "lr": "x"}), "train_config"),
-    (lambda arch, tc: (arch, {**tc, "learning_rate": 1.0}), "train_config"),
-    (lambda arch, tc: (arch, {**tc, "epochs": 0}), "train_config"),
-    (lambda arch, tc: (arch, {**tc, "train_images": -2}), "train_config"),
-    (lambda arch, tc: (arch, {**tc, "test_images": 0}), "train_config"),
-    (lambda arch, tc: (arch, {**tc, "realizations": 0}), "train_config"),
-], ids=["arch_without_ofdm", "image_h_as_text", "train_config_without_snr_db",
-        "width1_as_text", "head_hidden_as_float", "width2_as_bool", "l_fft_as_float",
-        "seed_as_text", "test_images_as_float", "realizations_as_float",
-        "train_config_without_realizations", "arch_pilot_seed_differs",
-        "train_config_image_h_differs", "lr_as_text", "train_config_unknown_key",
-        "epochs_zero", "train_images_negative", "test_images_zero", "realizations_zero"])
-def test_cli_eval_malformed_checkpoint_metadata(tmp_path, capsys, edit, section):
-    # a hand-edited arch or train_config is a corrupt checkpoint, not a stray exception;
-    # eval reads the whole train_config as a config and arch must be its model config
+def _save(path, model, train_config: dict) -> None:
+    params = [(n, p.value) for n, p in model.params()]
+    save_checkpoint(path, params=params, buffers=model.buffers(), train_config=train_config,
+                    opt_state={"step": 0, "m": [np.zeros_like(v) for _, v in params],
+                               "v": [np.zeros_like(v) for _, v in params]},
+                    rng_state={})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda tc: {**tc, "image_h": "8"},
+    lambda tc: _drop(tc, "snr_db"),
+    lambda tc: {**tc, "width1": "4"},
+    lambda tc: {**tc, "head_hidden": 8.0},
+    lambda tc: {**tc, "width2": True},
+    lambda tc: {**tc, "l_fft": 8.0},
+    lambda tc: {**tc, "seed": "x"},
+    lambda tc: {**tc, "test_images": 2.0},
+    lambda tc: {**tc, "realizations": 2.5},
+    lambda tc: _drop(tc, "realizations"),
+    lambda tc: {**tc, "lr": "x"},
+    lambda tc: {**tc, "learning_rate": 1.0},
+    lambda tc: {**tc, "epochs": 0},
+    lambda tc: {**tc, "train_images": -2},
+    lambda tc: {**tc, "test_images": 0},
+    lambda tc: {**tc, "realizations": 0},
+    lambda tc: {**tc, "seed": -1},
+    lambda tc: {**tc, "dataset_seed": -1},
+    lambda tc: {**tc, "pilot_seed": -1},
+    lambda tc: {**tc, "n_taps": 0},
+    lambda tc: {**tc, "gamma": -1.0},
+    lambda tc: {**tc, "clip_ratio": 0.0},
+    lambda tc: {**tc, "snr_db": math.nan},
+    lambda tc: {**tc, "width1": 5},
+], ids=["image_h_as_text", "train_config_without_snr_db", "width1_as_text",
+        "head_hidden_as_float", "width2_as_bool", "l_fft_as_float", "seed_as_text",
+        "test_images_as_float", "realizations_as_float", "train_config_without_realizations",
+        "lr_as_text", "train_config_unknown_key", "epochs_zero", "train_images_negative",
+        "test_images_zero", "realizations_zero", "seed_negative", "dataset_seed_negative",
+        "pilot_seed_negative", "n_taps_zero", "gamma_negative", "clip_ratio_zero",
+        "snr_db_nan", "width1_differs"])
+def test_cli_eval_malformed_checkpoint_metadata(tmp_path, capsys, edit):
+    # a hand-edited train_config is a corrupt checkpoint, not a stray exception:
+    # eval reads it as a whole config, so every type and range check applies, and
+    # the model built from it must fit the stored tensors
     cfg = load_config(None, parse_config_text(TINY_CFG))
     model = build_model(cfg.model_config(), seed=cfg.seed)
-    arch, tc = edit(model.cfg.to_dict(), cfg.to_dict())
     path = tmp_path / "bad.jscc"
-    save_checkpoint(path, arch=arch, params=[(n, p.value) for n, p in model.params()],
-                    train_config=tc, buffers=model.buffers())
+    _save(path, model, edit(cfg.to_dict()))
     rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "ev")])
     assert rc == 1
-    assert f"error: metadata {section} " in capsys.readouterr().err
+    assert "error: metadata train_config " in capsys.readouterr().err
+
+
+def test_cli_eval_ignores_arch_of_older_checkpoints(tmp_path, tiny_cfg_file):
+    # files written before train_config became the only model description also
+    # hold an "arch" copy of the model config; eval ignores it
+    run = _train(tmp_path, tiny_cfg_file)
+    old = tmp_path / "old.jscc"
+    old.write_bytes((run / "checkpoint.jscc").read_bytes())
+    arch = asdict(load_config(tiny_cfg_file).model_config())
+    rewrite_meta(old, lambda meta: meta.update(arch=arch))
+    assert b'"arch": {' in old.read_bytes()
+    for ck, sub in ((run / "checkpoint.jscc", "new"), (old, "old")):
+        assert main(["eval", "--checkpoint", str(ck), "--out", str(tmp_path / sub),
+                     "--snr-db", "0,10", "--clip-ratio", "inf,1.2"]) == 0
+    assert ((tmp_path / "new" / "metrics.csv").read_bytes()
+            == (tmp_path / "old" / "metrics.csv").read_bytes())
 
 
 def test_cli_eval_zero_realizations_rejected(tmp_path, tiny_cfg_file, capsys):
@@ -298,8 +342,13 @@ def test_cli_eval_zero_realizations_rejected(tmp_path, tiny_cfg_file, capsys):
     ("seed = 11", "seed = 11\nlr = 0", "lr must be in (0, inf)"),
     ("seed = 11", "seed = 11\nlr = inf", "lr must be in (0, inf)"),
     ("seed = 11", "seed = 11\nsnr_db_min = -inf\nsnr_db_max = 0", "need finite snr_db_min"),
+    ("seed = 11", "seed = 11\ndataset_seed = -1", "dataset_seed must be >= 0"),
+    ("seed = 11", "seed = -1", "seed must be >= 0"),
+    ("n_taps = 3", "n_taps = 0", "n_taps must be >= 1"),
+    ("seed = 11", "seed = 11\nclip_ratio = 0", "clip_ratio must be > 0"),
 ], ids=["train_images_negative", "test_images_zero", "lr_negative", "lr_zero", "lr_inf",
-        "snr_db_min_minus_inf"])
+        "snr_db_min_minus_inf", "dataset_seed_negative", "seed_negative", "n_taps_zero",
+        "clip_ratio_zero"])
 def test_cli_train_rejects_out_of_range_settings(tmp_path, capsys, old, new, message):
     # each must stop before training, with an error that names the setting
     cfg = tmp_path / "bad.cfg"
@@ -310,14 +359,27 @@ def test_cli_train_rejects_out_of_range_settings(tmp_path, capsys, old, new, mes
     assert not (tmp_path / "run" / "checkpoint.jscc").exists()
 
 
+def test_cli_chain_demo_rejects_what_train_rejects(tmp_path, capsys):
+    # chain-demo reads no training field, but its config is checked as a whole
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + "lr = 0\n")
+    rc = main(["chain-demo", "--config", str(cfg), "--out", str(tmp_path / "demo")])
+    assert rc == 1
+    assert "error: lr must be in (0, inf)" in capsys.readouterr().err
+    assert not (tmp_path / "demo").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "chain-demo"])
 def test_cli_minus_inf_snr_rejected(tmp_path, tiny_cfg_file, capsys, command):
+    # train and chain-demo build a config from the flag, which rejects it; eval
+    # sweeps it, and the SNR conversion rejects it
     source = (["--checkpoint", str(_train(tmp_path, tiny_cfg_file) / "checkpoint.jscc")]
               if command == "eval" else ["--config", str(tiny_cfg_file)])
     capsys.readouterr()
     rc = main([command, *source, "--out", str(tmp_path / "bad"), "--snr-db=-inf"])
     assert rc == 1
-    assert "error: snr_to_sigma_sq: snr_db must be > -inf" in capsys.readouterr().err
+    where = "snr_to_sigma_sq: " if command == "eval" else ""
+    assert f"error: {where}snr_db must be > -inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [",", "10,,1"])

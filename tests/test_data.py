@@ -1,7 +1,6 @@
 """Image file I/O, the synthetic corpus generator and the checkpoint container
 format, including the failure modes that must be loud."""
 
-import json
 import struct
 
 import numpy as np
@@ -12,6 +11,8 @@ from hypothesis import strategies as st
 from ofdmjscc.data import (CheckpointError, ImageFormatError, load_checkpoint,
                            load_image, save_checkpoint, save_image,
                            synth_dataset)
+
+from conftest import rewrite_meta
 
 
 # ---------------------------------------------------------------------------
@@ -110,29 +111,16 @@ def _tiny_ckpt(path, rng):
     buffers = [("rm", np.zeros(2)), ("rv", np.ones(2))]
     opt = {"step": 7, "m": [np.zeros((3, 2)), np.zeros(2)],
            "v": [np.ones((3, 2)), np.ones(2)]}
-    save_checkpoint(path, arch={"variant": "direct"}, params=params,
+    save_checkpoint(path, params=params, buffers=buffers,
                     train_config={"seed": 1, "lr": 1e-3},
-                    opt_state=opt, rng_state={"state": 42}, buffers=buffers)
+                    opt_state=opt, rng_state={"state": 42})
     return params, buffers, opt
-
-
-def _rewrite_meta(path, edit):
-    # replace the JSON metadata section (after 5-byte magic and 4-byte version)
-    raw = bytearray(path.read_bytes())
-    meta_len = struct.unpack_from("<Q", raw, 9)[0]
-    meta = json.loads(bytes(raw[17:17 + meta_len]))
-    edit(meta)
-    new_meta = json.dumps(meta, sort_keys=True).encode()
-    struct.pack_into("<Q", raw, 9, len(new_meta))
-    raw[17:17 + meta_len] = new_meta
-    path.write_bytes(bytes(raw))
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path, rng):
     path = tmp_path / "m.jscc"
     params, buffers, opt = _tiny_ckpt(path, rng)
     ck = load_checkpoint(path)
-    assert ck["arch"] == {"variant": "direct"}
     assert ck["train_config"] == {"seed": 1, "lr": 1e-3}
     assert ck["rng_state"] == {"state": 42}
     for (n, v), (n2, v2) in zip(params, ck["params"]):
@@ -142,9 +130,9 @@ def test_checkpoint_round_trip_bitwise(tmp_path, rng):
     assert ck["opt_state"]["step"] == 7
     # byte-for-byte reproducible serialization
     path2 = tmp_path / "m2.jscc"
-    save_checkpoint(path2, arch=ck["arch"], params=ck["params"],
+    save_checkpoint(path2, params=ck["params"], buffers=ck["buffers"],
                     train_config=ck["train_config"], opt_state=ck["opt_state"],
-                    rng_state=ck["rng_state"], buffers=ck["buffers"])
+                    rng_state=ck["rng_state"])
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -180,9 +168,8 @@ def test_checkpoint_truncation(tmp_path, rng):
 def test_checkpoint_blob_shape_mismatch(tmp_path, rng):
     # metadata promising more parameter bytes than the blob holds must fail
     path = tmp_path / "m.jscc"
-    save_checkpoint(path, arch={}, params=[("w", rng.standard_normal(4))],
-                    train_config={})
-    _rewrite_meta(path, lambda meta: meta["params"][0].update(shape=[5]))
+    _tiny_ckpt(path, rng)
+    rewrite_meta(path, lambda meta: meta["params"][0].update(shape=[5]))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -193,11 +180,12 @@ def test_checkpoint_blob_shape_mismatch(tmp_path, rng):
     (lambda meta: meta["params"][1].pop("name"), r"params\[1\] lacks name"),
     (lambda meta: meta["buffers"][0].pop("shape"), r"buffers\[0\] lacks name or shape"),
     (lambda meta: meta["opt"].pop("step"), "opt lacks step"),
+    (lambda meta: meta.update(opt=None), "metadata opt lacks step"),
 ])
 def test_checkpoint_incomplete_metadata(tmp_path, rng, edit, match):
     path = tmp_path / "m.jscc"
     _tiny_ckpt(path, rng)
-    _rewrite_meta(path, edit)
+    rewrite_meta(path, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
@@ -213,7 +201,7 @@ def test_checkpoint_incomplete_metadata(tmp_path, rng, edit, match):
 def test_checkpoint_malformed_metadata(tmp_path, rng, edit, match):
     path = tmp_path / "m.jscc"
     _tiny_ckpt(path, rng)
-    _rewrite_meta(path, edit)
+    rewrite_meta(path, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
@@ -233,22 +221,19 @@ _tensor_sets = st.lists(st.tuples(st.text(max_size=6),
 
 @st.composite
 def _checkpoint_contents(draw):
-    """Random parameter and buffer sets, with or without optimizer moments."""
+    """Random parameter and buffer sets with their optimizer moments."""
     r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     params = [(n, r.standard_normal(s)) for n, s in draw(_tensor_sets)]
     buffers = [(n, r.standard_normal(s)) for n, s in draw(_tensor_sets)]
-    opt = None
-    if draw(st.booleans()):
-        opt = {"step": draw(st.integers(0, 10 ** 6)),
-               "m": [r.standard_normal(v.shape) for _, v in params],
-               "v": [r.uniform(0, 1, v.shape) for _, v in params]}
+    opt = {"step": draw(st.integers(0, 10 ** 6)),
+           "m": [r.standard_normal(v.shape) for _, v in params],
+           "v": [r.uniform(0, 1, v.shape) for _, v in params]}
     return params, buffers, opt
 
 
 def _save(path, params, buffers, opt):
-    save_checkpoint(path, arch={"variant": "explicit"}, params=params,
-                    train_config={"seed": 3}, opt_state=opt, rng_state={"s": [1, 2]},
-                    buffers=buffers)
+    save_checkpoint(path, params=params, buffers=buffers, train_config={"seed": 3},
+                    opt_state=opt, rng_state={"s": [1, 2]})
 
 
 def _same_tensors(got, want):
@@ -265,12 +250,9 @@ def test_checkpoint_round_trip_property(tmp_path_factory, contents):
     _save(path, params, buffers, opt)
     ck = load_checkpoint(path)
     assert _same_tensors(ck["params"], params) and _same_tensors(ck["buffers"], buffers)
-    if opt is None:
-        assert ck["opt_state"] is None
-    else:
-        assert ck["opt_state"]["step"] == opt["step"]
-        for key in ("m", "v"):
-            assert all(np.array_equal(a, b) for a, b in zip(ck["opt_state"][key], opt[key]))
+    assert ck["opt_state"]["step"] == opt["step"]
+    for key in ("m", "v"):
+        assert all(np.array_equal(a, b) for a, b in zip(ck["opt_state"][key], opt[key]))
     again = path.with_name("again.jscc")
     _save(again, ck["params"], ck["buffers"], ck["opt_state"])
     assert again.read_bytes() == path.read_bytes()

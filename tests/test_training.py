@@ -363,6 +363,8 @@ def test_evaluate_rejects_bad_realizations():
         evaluate(model, _toy_images(0), snr_db=10.0)
     with pytest.raises(ValueError, match="workers"):
         evaluate(model, _toy_images(1), snr_db=10.0, workers=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        evaluate(model, _toy_images(1), snr_db=10.0, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +377,11 @@ def test_checkpoint_resume_is_bitwise(tmp_path):
     model = build_model(cfg, seed=4)
     train(model, imgs, _toy_tcfg(seed=4))
     path = tmp_path / "model.jscc"
-    save_checkpoint(path, arch=cfg.to_dict(),
-                    params=[(n, p.value) for n, p in model.params()],
+    save_checkpoint(path, params=[(n, p.value) for n, p in model.params()],
+                    buffers=model.buffers(),
                     train_config={"seed": 4},
                     opt_state=model._last_opt.state(),
-                    rng_state=model._last_rng_state,
-                    buffers=model.buffers())
+                    rng_state=model._last_rng_state)
     ck = load_checkpoint(path)
 
     clone = build_model(cfg, seed=99)
