@@ -11,17 +11,17 @@ end straight through the waveform.
 from .autodiff import Node, backward, constant, leaf
 from .channel import apply_channel, freq_response, power_profile, sample_channel, \
     snr_to_sigma_sq
-from .config import ExperimentConfig, load_config
+from .config import VARIANTS, ExperimentConfig, ModelConfig, OfdmConfig, TrainConfig, load_config
 from .cplx import CplxNode
 from .data import load_checkpoint, load_image, save_checkpoint, save_image, \
     synth_dataset
 from .gradcheck import finite_diff_check
 from .metrics import papr_ccdf, psnr, ssim
-from .model import JsccModel, ModelConfig, VARIANTS, build_model
-from .ofdm import OfdmConfig, assemble_packet, channel_uses_per_pixel, clip, \
+from .model import JsccModel, build_model
+from .ofdm import assemble_packet, channel_uses_per_pixel, clip, \
     disassemble_packet, make_pilots, normalize_power, papr_db
 from .receiver import equalize_mmse, estimate_channel_mmse
-from .training import Adam, EvalResult, TrainConfig, evaluate, mse_loss, train
+from .training import Adam, EvalResult, evaluate, mse_loss, train
 
 __version__ = "0.1.0"
 

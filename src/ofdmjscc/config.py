@@ -1,19 +1,138 @@
-"""Flat ``key=value`` experiment configuration.
+"""Every setting, declared, typed and checked once; imports no other module of the package.
 
-One config drives dataset generation, model construction, training and
-default evaluation. Unknown keys are rejected; command-line flags override
-file values. ``none`` / ``inf`` are accepted where the type allows.
+``OfdmConfig``, ``ModelConfig``, ``TrainConfig`` check types and ranges when built; the flat
+``ExperimentConfig`` holds all their fields and the data ones. Unknown keys are rejected, flags
+override file values, and ``none`` / ``inf`` are accepted where the type allows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, make_dataclass
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
-from .model import ModelConfig
-from .ofdm import OfdmConfig, check_field_types, field_types
-from .training import TrainConfig
+VARIANTS = ("direct", "implicit", "explicit")
+
+
+@functools.cache
+def field_types(cls) -> dict[str, tuple]:
+    """Each field of dataclass ``cls`` and the types its annotation allows: ``X | None``
+    allows None, a float field also takes an int, and a bool is never a number."""
+    hints = {name: get_args(tp) or (tp,) for name, tp in get_type_hints(cls).items()}
+    return {name: tps + (int,) if float in tps else tps for name, tps in hints.items()}
+
+
+def check_field_types(cfg) -> None:
+    """Raise ``ValueError`` for a dataclass field of a type its annotation does not allow."""
+    for name, types in field_types(type(cfg)).items():
+        if type(v := getattr(cfg, name)) not in types:
+            raise ValueError(f"{name} must be {'|'.join(t.__name__ for t in types)}, got {v!r}")
+
+
+@dataclass(frozen=True)
+class OfdmConfig:
+    """Static dimensions of the OFDM frame."""
+
+    l_fft: int = 64
+    l_cp: int = 16
+    n_p: int = 2
+    n_s: int = 6
+    pilot_seed: int = 7
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.l_fft < 2:
+            raise ValueError(f"l_fft must be >= 2, got {self.l_fft}")
+        if not 0 <= self.l_cp < self.l_fft:
+            raise ValueError(f"l_cp must be in [0, l_fft), got {self.l_cp}")
+        if self.n_p < 1 or self.n_s < 1:
+            raise ValueError("need at least one pilot and one data symbol")
+        if self.pilot_seed < 0:
+            raise ValueError(f"pilot_seed must be >= 0, got {self.pilot_seed}")
+
+    @property
+    def rows(self) -> int:
+        return self.n_p + self.n_s
+
+    @property
+    def symbol_len(self) -> int:
+        return self.l_fft + self.l_cp
+
+    @property
+    def packet_len(self) -> int:
+        return self.rows * self.symbol_len
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    variant: str = "explicit"
+    image_h: int = 32
+    image_w: int = 32
+    image_c: int = 3
+    width1: int = 32
+    width2: int = 64
+    subnet_hidden: int = 8
+    head_hidden: int = 256
+    front_hidden: int = 32
+    ofdm: OfdmConfig = field(default_factory=OfdmConfig)
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.image_h % 4 or self.image_w % 4:
+            raise ValueError("image_h and image_w must be multiples of 4 "
+                             "(two stride-2 stages)")
+        if self.image_c not in (1, 3):
+            raise ValueError(f"image_c must be 1 or 3, got {self.image_c}")
+        for name in ("width1", "width2", "subnet_hidden", "head_hidden", "front_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 40
+    batch_size: int = 16
+    lr: float = 1e-3
+    lr_decay_start: int = 20
+    snr_db: float = 10.0
+    snr_db_min: float | None = None   # set both min/max for uniform-random SNR
+    snr_db_max: float | None = None
+    clip_ratio: float = math.inf
+    n_taps: int = 8
+    gamma: float = 4.0
+    seed: int = 0
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be in (0, inf), got {self.lr}")
+        if not 0 <= self.lr_decay_start <= self.epochs:
+            raise ValueError("lr_decay_start must be in [0, epochs]")
+        if (self.snr_db_min is None) != (self.snr_db_max is None):
+            raise ValueError("set both snr_db_min and snr_db_max or neither")
+        if self.random_snr and not -math.inf < self.snr_db_min <= self.snr_db_max < math.inf:
+            raise ValueError(f"need finite snr_db_min <= snr_db_max, got "
+                             f"{self.snr_db_min}, {self.snr_db_max}")
+        if not self.snr_db > -math.inf:     # also rejects nan
+            raise ValueError(f"snr_db must be > -inf, got {self.snr_db}")
+        if not self.clip_ratio > 0:         # inf: no clipping
+            raise ValueError(f"clip_ratio must be > 0, got {self.clip_ratio}")
+        if not self.gamma > 0:              # inf: a flat power profile
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.n_taps < 1:
+            raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def random_snr(self) -> bool:
+        return self.snr_db_min is not None
+
 
 _SubConfigFields = make_dataclass(
     "_SubConfigFields",
@@ -41,6 +160,8 @@ class ExperimentConfig(_SubConfigFields):
         if self.dataset_seed < 0:
             raise ValueError(f"dataset_seed must be >= 0, got {self.dataset_seed}")
         self.model_config(), self.train_config()     # each checks its own ranges
+        if self.n_taps > self.l_fft:     # > l_cp + 1 is allowed: the ISI regime
+            raise ValueError(f"n_taps must be <= l_fft={self.l_fft}, got {self.n_taps}")
 
     def _fields_of(self, cls, skip: tuple = ()) -> dict:
         """This config's values for the fields of dataclass ``cls``."""

@@ -19,9 +19,9 @@ from . import autodiff as ad
 from . import cplx
 from .autodiff import Node
 from .channel import apply_channel, awgn, sample_channel, snr_to_sigma_sq
-from .model import ModelConfig, build_model
-from .ofdm import OfdmConfig, assemble_packet, disassemble_packet, make_pilots, \
-    normalize_power, clip
+from .config import ModelConfig, OfdmConfig
+from .model import build_model
+from .ofdm import assemble_packet, clip, disassemble_packet, make_pilots, normalize_power
 from .receiver import equalize_mmse, estimate_channel_mmse
 from .training import mse_loss
 

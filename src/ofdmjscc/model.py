@@ -27,7 +27,6 @@ path, ``enc.res.conv_a.w``): renaming one breaks old checkpoints, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,39 +35,10 @@ from . import cplx
 from .autodiff import Node
 from .cplx import CplxNode
 from .channel import apply_channel
+from .config import VARIANTS, ModelConfig  # noqa: F401 - VARIANTS is read as model.VARIANTS
 from .nn import BatchNorm, Conv2d, Dense, Module
-from .ofdm import OfdmConfig, TxPacket, assemble_packet, check_field_types, \
-    disassemble_packet, make_pilots, normalize_power
+from .ofdm import TxPacket, assemble_packet, disassemble_packet, make_pilots, normalize_power
 from .receiver import equalize_mmse, estimate_channel_mmse
-
-VARIANTS = ("direct", "implicit", "explicit")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    variant: str = "explicit"
-    image_h: int = 32
-    image_w: int = 32
-    image_c: int = 3
-    width1: int = 32
-    width2: int = 64
-    subnet_hidden: int = 8
-    head_hidden: int = 256
-    front_hidden: int = 32
-    ofdm: OfdmConfig = field(default_factory=OfdmConfig)
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.image_h % 4 or self.image_w % 4:
-            raise ValueError("image_h and image_w must be multiples of 4 "
-                             "(two stride-2 stages)")
-        if self.image_c not in (1, 3):
-            raise ValueError(f"image_c must be 1 or 3, got {self.image_c}")
-        for name in ("width1", "width2", "subnet_hidden", "head_hidden", "front_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class _ResBlock(Module):

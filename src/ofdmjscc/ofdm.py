@@ -1,5 +1,5 @@
-"""OFDM transmit/receive chain: unitary (I)DFT, cyclic prefix, pilots,
-power normalization and amplitude clipping.
+"""OFDM transmit/receive chain on a ``config.OfdmConfig`` frame: unitary (I)DFT,
+cyclic prefix, pilots, power normalization and amplitude clipping.
 
 Conventions (fixed across the package):
 
@@ -14,70 +14,20 @@ Conventions (fixed across the package):
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from . import cplx
 from .autodiff import Node
+from .config import OfdmConfig
 from .cplx import CplxNode, dft, idft
 
 P_S = 1.0  # nominal average transmit power after normalization
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
-
-
-@functools.cache
-def field_types(cls) -> dict[str, tuple]:
-    """Each field of dataclass ``cls`` and the types its annotation allows: ``X | None``
-    allows None, a float field also takes an int, and a bool is never a number."""
-    hints = {name: get_args(tp) or (tp,) for name, tp in get_type_hints(cls).items()}
-    return {name: tps + (int,) if float in tps else tps for name, tps in hints.items()}
-
-
-def check_field_types(cfg) -> None:
-    """Raise ``ValueError`` for a dataclass field of a type its annotation does not allow."""
-    for name, types in field_types(type(cfg)).items():
-        if type(v := getattr(cfg, name)) not in types:
-            raise ValueError(f"{name} must be {'|'.join(t.__name__ for t in types)}, got {v!r}")
-
-
-@dataclass(frozen=True)
-class OfdmConfig:
-    """Static dimensions of the OFDM frame."""
-
-    l_fft: int = 64
-    l_cp: int = 16
-    n_p: int = 2
-    n_s: int = 6
-    pilot_seed: int = 7
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.l_fft < 2:
-            raise ValueError(f"l_fft must be >= 2, got {self.l_fft}")
-        if not 0 <= self.l_cp < self.l_fft:
-            raise ValueError(f"l_cp must be in [0, l_fft), got {self.l_cp}")
-        if self.n_p < 1 or self.n_s < 1:
-            raise ValueError("need at least one pilot and one data symbol")
-        if self.pilot_seed < 0:
-            raise ValueError(f"pilot_seed must be >= 0, got {self.pilot_seed}")
-
-    @property
-    def rows(self) -> int:
-        return self.n_p + self.n_s
-
-    @property
-    def symbol_len(self) -> int:
-        return self.l_fft + self.l_cp
-
-    @property
-    def packet_len(self) -> int:
-        return self.rows * self.symbol_len
 
 
 def channel_uses_per_pixel(cfg: OfdmConfig, height: int, width: int, channels: int) -> float:

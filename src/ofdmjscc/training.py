@@ -25,9 +25,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .channel import awgn, sample_channel, snr_to_sigma_sq
+from .config import TrainConfig
 from .metrics import psnr, ssim_batch
 from .model import JsccModel
-from .ofdm import check_field_types, papr_db
+from .ofdm import papr_db
 
 DIVERGENCE_LOSS = 1e8
 EVAL_BATCH = 16   # (image, realization) pairs per evaluation forward pass
@@ -125,49 +126,6 @@ class Adam:
                 out.append(arr)
         self.step_count = int(state["step"])
         self.m, self.v = m, v
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 40
-    batch_size: int = 16
-    lr: float = 1e-3
-    lr_decay_start: int = 20
-    snr_db: float = 10.0
-    snr_db_min: float | None = None   # set both min/max for uniform-random SNR
-    snr_db_max: float | None = None
-    clip_ratio: float = math.inf
-    n_taps: int = 8
-    gamma: float = 4.0
-    seed: int = 0
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be in (0, inf), got {self.lr}")
-        if not 0 <= self.lr_decay_start <= self.epochs:
-            raise ValueError("lr_decay_start must be in [0, epochs]")
-        if (self.snr_db_min is None) != (self.snr_db_max is None):
-            raise ValueError("set both snr_db_min and snr_db_max or neither")
-        if self.random_snr and not -math.inf < self.snr_db_min <= self.snr_db_max < math.inf:
-            raise ValueError(f"need finite snr_db_min <= snr_db_max, got "
-                             f"{self.snr_db_min}, {self.snr_db_max}")
-        if not self.snr_db > -math.inf:     # also rejects nan
-            raise ValueError(f"snr_db must be > -inf, got {self.snr_db}")
-        if not self.clip_ratio > 0:         # inf: no clipping
-            raise ValueError(f"clip_ratio must be > 0, got {self.clip_ratio}")
-        if not self.gamma > 0:              # inf: a flat power profile
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.n_taps < 1:
-            raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def random_snr(self) -> bool:
-        return self.snr_db_min is not None
 
 
 def lr_at(tcfg: TrainConfig, epoch: int) -> float:

@@ -132,6 +132,7 @@ def valid_configs(draw):
         image_h=4 * draw(st.integers(1, 64)), image_w=4 * draw(st.integers(1, 64)),
         image_c=draw(st.sampled_from([1, 3])),
         l_cp=draw(st.integers(0, values["l_fft"] - 1)),
+        n_taps=draw(st.integers(1, values["l_fft"])),
         lr_decay_start=draw(st.integers(0, values["epochs"])))
     return ExperimentConfig(**values)
 
@@ -171,12 +172,12 @@ def test_sub_configs_match_hand_built():
     ("epochs", 1.5), ("train_images", "3"), ("variant", 1), ("lr", 0.0), ("width1", 0),
     ("l_fft", 1), ("seed", -1), ("dataset_seed", -1), ("pilot_seed", -1), ("n_taps", 0),
     ("gamma", -1.0), ("gamma", 0.0), ("clip_ratio", 0.0), ("clip_ratio", -1.0),
-    ("snr_db", math.nan), ("snr_db", -math.inf)])
+    ("snr_db", math.nan), ("snr_db", -math.inf), ("n_taps", 9)])
 def test_experiment_config_is_checked_when_built(field, value):
-    # every field's type and range, the sub-configs' included: a built config
-    # needs no further check
+    # every field's type and range, the sub-configs' included, and n_taps against
+    # the frame (l_fft = 8 here): a built config needs no further check
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        ExperimentConfig(**{field: value})
+        ExperimentConfig(**{"l_fft": 8, "l_cp": 4, field: value})
 
 
 def test_load_config_rejects_zero_train_images(tmp_path):
@@ -288,13 +289,14 @@ def _save(path, model, train_config: dict) -> None:
     lambda tc: {**tc, "clip_ratio": 0.0},
     lambda tc: {**tc, "snr_db": math.nan},
     lambda tc: {**tc, "width1": 5},
+    lambda tc: {**tc, "n_taps": 9},
 ], ids=["image_h_as_text", "train_config_without_snr_db", "width1_as_text",
         "head_hidden_as_float", "width2_as_bool", "l_fft_as_float", "seed_as_text",
         "test_images_as_float", "realizations_as_float", "train_config_without_realizations",
         "lr_as_text", "train_config_unknown_key", "epochs_zero", "train_images_negative",
         "test_images_zero", "realizations_zero", "seed_negative", "dataset_seed_negative",
         "pilot_seed_negative", "n_taps_zero", "gamma_negative", "clip_ratio_zero",
-        "snr_db_nan", "width1_differs"])
+        "snr_db_nan", "width1_differs", "n_taps_longer_than_l_fft"])
 def test_cli_eval_malformed_checkpoint_metadata(tmp_path, capsys, edit):
     # a hand-edited train_config is a corrupt checkpoint, not a stray exception:
     # eval reads it as a whole config, so every type and range check applies, and
@@ -360,13 +362,16 @@ def test_cli_train_rejects_out_of_range_settings(tmp_path, capsys, old, new, mes
 
 
 def test_cli_chain_demo_rejects_what_train_rejects(tmp_path, capsys):
-    # chain-demo reads no training field, but its config is checked as a whole
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY_CFG + "lr = 0\n")
-    rc = main(["chain-demo", "--config", str(cfg), "--out", str(tmp_path / "demo")])
-    assert rc == 1
-    assert "error: lr must be in (0, inf)" in capsys.readouterr().err
-    assert not (tmp_path / "demo").exists()
+    # chain-demo reads no training field, but its config is checked as a whole; a
+    # channel longer than the frame (l_fft = 8) fails before any work, naming both
+    for old, new, message in (("seed = 11", "seed = 11\nlr = 0", "lr must be in (0, inf)"),
+                              ("n_taps = 3", "n_taps = 9", "n_taps must be <= l_fft=8, got 9")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG.replace(old, new))
+        rc = main(["chain-demo", "--config", str(cfg), "--out", str(tmp_path / "demo")])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "demo").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "chain-demo"])

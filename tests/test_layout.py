@@ -1,0 +1,53 @@
+"""Module layout: settings have one home, and the names the benchmark traces exist."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import ofdmjscc
+from ofdmjscc import config, model, ofdm, training
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_config_imports_nothing_else_from_the_package():
+    # every other module may import its settings from config, so config imports none of them
+    tree = ast.parse(Path(config.__file__).read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"line {node.lineno}: relative import"
+            names = [node.module]
+        else:
+            names = [a.name for a in node.names]
+        assert not [n for n in names if n.split(".")[0] == "ofdmjscc"], f"line {node.lineno}"
+
+
+def test_settings_are_defined_once_in_config():
+    # the DSP, model and training modules use the settings classes config defines
+    assert ofdm.OfdmConfig is config.OfdmConfig
+    assert model.ModelConfig is config.ModelConfig
+    assert model.VARIANTS is config.VARIANTS
+    assert training.TrainConfig is config.TrainConfig
+    for cls in (config.OfdmConfig, config.ModelConfig, config.TrainConfig):
+        assert cls.__module__ == "ofdmjscc.config"
+    assert not hasattr(ofdm, "field_types") and not hasattr(ofdm, "check_field_types")
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/tracer.py times the functions at these paths under ``ofdmjscc``; a
+    # path that no longer resolves is reported "not traced" and its metric reads 0
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    paths = {**tracer.SPANS, **tracer.SETUP_SPANS}.values()
+    missing = []
+    for path in paths:
+        owner = ofdmjscc
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(path)
+    assert len(paths) >= 20 and missing == []
