@@ -51,9 +51,9 @@ class no_grad:
     Such a node lists its inputs as ``parents`` (for tools that inspect a
     fresh node, such as FLOP counting) only until an op consumes it. So no
     graph builds up: each op's closures (and what they hold, such as conv2d's
-    im2col matrix) and its input values are freed as soon as the next op has
-    consumed its output. The state is per thread, so enter it in the thread
-    that runs the ops.
+    im2col matrix or padded input) and its input values are freed as soon as
+    the next op has consumed its output. The state is per thread, so enter it
+    in the thread that runs the ops.
     """
 
     def __enter__(self):
@@ -403,7 +403,17 @@ def _phase(r: int, k: int, s: int, p: int, n: int) -> tuple[int, int, int, int]:
 
 
 def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> Node:
-    """2-D convolution. x: (B, H, W, Cin), w: (kh, kw, Cin, Cout); gx by ``_conv_transpose``."""
+    """2-D convolution. x: (B, H, W, Cin), w: (kh, kw, Cin, Cout); gx by ``_conv_transpose``.
+
+    One GEMM in one of two layouts, chosen by
+    ``stride == 1 and kh > 1 and kw > 1 and kh*kw*Cout <= Cin``. If it holds (a
+    2-D kernel with a narrow output, such as the decoder's last conv),
+    ``_conv2d_kn2row`` runs: the padded input times all taps side by side.
+    Otherwise im2col: the (B*Ho*Wo, kh*kw*Cin) window matrix times the
+    (kh*kw*Cin, Cout) kernel, and the VJP keeps that matrix for gw (for a 1x1
+    stride-1 conv without padding, a view of x). On a single-row kernel such as
+    the explicit receiver's 1x3 one, kn2row's shifted adds cost what it saves.
+    """
     if x.value.ndim != 4 or w.value.ndim != 4:
         raise ValueError(f"conv2d: need x(B,H,W,C), w(kh,kw,Cin,Cout); got {x.shape}, {w.shape}")
     B, H, W, Cin = x.value.shape
@@ -416,6 +426,8 @@ def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> 
     Wo = (W + 2 * pw - kw) // s + 1
     if Ho < 1 or Wo < 1:
         raise ValueError("conv2d: output would be empty")
+    if s == 1 and kh > 1 and kw > 1 and kh * kw * Cout <= Cin:
+        return _conv2d_kn2row(x, w, pad, Ho, Wo)
 
     cols = _im2col(x.value, kh, kw, s, ph, pw, H + 2 * ph, W + 2 * pw)
     wmat = w.value.reshape(kh * kw * Cin, Cout)
@@ -428,21 +440,71 @@ def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> 
                              (cols.T @ g.reshape(B * Ho * Wo, Cout)).reshape(kh, kw, Cin, Cout)))
 
 
+def _conv2d_kn2row(x: Node, w: Node, pad: tuple[int, int], Ho: int, Wo: int) -> Node:
+    """Stride-1 ``conv2d`` as "kn2row" (Vasudevan, Anderson & Gregg, arXiv 1704.04428).
+
+    One GEMM of all kh*kw taps against the padded input, then the kh*kw output
+    slices, each shifted by its tap, are summed in tap order. gw is one GEMM
+    of kh*kw shifted copies of g against the padded input. Both GEMMs put the
+    taps first, (kh*kw*Cout, Cin) @ (Cin, B*Hp*Wp) and (kh*kw*Cout, B*Hp*Wp) @
+    (B*Hp*Wp, Cin), so every shifted slice runs along image rows. The VJP keeps
+    the padded input, not im2col's kh*kw times larger window matrix, and under
+    the rule the per-tap buffers (kh*kw*Cout values per padded position) are
+    no larger.
+    """
+    (B, H, W, Cin), (kh, kw, _, Cout) = x.value.shape, w.value.shape
+    ph, pw = pad
+    xp = x.value
+    if ph or pw:
+        xp = np.zeros((B, H + 2 * ph, W + 2 * pw, Cin))
+        xp[:, ph:ph + H, pw:pw + W] = x.value
+    x2 = xp.reshape(-1, Cin)
+    taps = list(itertools.product(range(kh), range(kw)))
+    grid = (kh, kw, Cout, *xp.shape[:3])        # per tap and output channel, the padded grid
+
+    def fwd(xv, wv):
+        y = (wv.transpose(0, 1, 3, 2).reshape(-1, Cin) @ x2.T).reshape(grid)
+        parts = [y[i, j, :, :, i:i + Ho, j:j + Wo] for i, j in taps]
+        out = parts[0] + parts[1]
+        for part in parts[2:]:
+            out += part
+        return np.ascontiguousarray(out.transpose(1, 2, 3, 0))
+
+    def bwd(g):
+        gs, gt = np.zeros(grid), g.transpose(3, 0, 1, 2)
+        for i, j in taps:
+            gs[i, j, :, :, i:i + Ho, j:j + Wo] = gt
+        gw = (gs.reshape(kh * kw * Cout, -1) @ x2).reshape(kh, kw, Cout, Cin)
+        return (_conv_transpose(g, w.value, 1, pad, (H, W)),
+                np.ascontiguousarray(gw.transpose(0, 1, 3, 2)))
+
+    return record("conv2d", (x, w), fwd, bwd)
+
+
 def _conv_transpose(g: np.ndarray, w: np.ndarray, s: int, pad, hw) -> np.ndarray:
     """The adjoint of ``conv2d(., w, s, pad)`` on an ``hw`` input, applied to ``g``: per
     stride phase, one GEMM of a window view over ``g`` with the flipped ``w[ry::s, rx::s]``."""
-    B, (kh, kw, Cin, _) = g.shape[0], w.shape
-    out = np.zeros((B, *hw, Cin))
-    for ry in range(s):
-        ty, y0, my, top = _phase(ry, kh, s, pad[0], hw[0])
-        for rx in range(s):
-            tx, x0, mx, left = _phase(rx, kw, s, pad[1], hw[1])
-            if ty == 0 or tx == 0 or my == 0 or mx == 0:
-                continue       # no tap reaches these rows: they stay 0
-            gcols = _im2col(g, ty, tx, 1, top, left, my + ty - 1, mx + tx - 1)
-            sub = w[ry::s, rx::s][::-1, ::-1].transpose(0, 1, 3, 2)
-            out[:, y0::s, x0::s] = (gcols @ sub.reshape(-1, Cin)).reshape(B, my, mx, Cin)
+    if s == 1:                      # the one phase covers every row and column
+        return _phase_gemm(g, w, 1, pad, hw, 0, 0)[2]
+    out = np.zeros((g.shape[0], *hw, w.shape[2]))
+    for ry, rx in itertools.product(range(s), range(s)):
+        y0, x0, block = _phase_gemm(g, w, s, pad, hw, ry, rx)
+        if block is not None:
+            out[:, y0::s, x0::s] = block
     return out
+
+
+def _phase_gemm(g: np.ndarray, w: np.ndarray, s: int, pad, hw, ry: int, rx: int):
+    """Stride phase (ry, rx) of ``_conv_transpose``: its first input row and column and its
+    (B, my, mx, Cin) block, which is ``None`` if no tap reaches it (those rows stay 0)."""
+    B, (kh, kw, Cin, _) = g.shape[0], w.shape
+    ty, y0, my, top = _phase(ry, kh, s, pad[0], hw[0])
+    tx, x0, mx, left = _phase(rx, kw, s, pad[1], hw[1])
+    if ty == 0 or tx == 0 or my == 0 or mx == 0:
+        return y0, x0, None
+    gcols = _im2col(g, ty, tx, 1, top, left, my + ty - 1, mx + tx - 1)
+    sub = w[ry::s, rx::s][::-1, ::-1].transpose(0, 1, 3, 2)
+    return y0, x0, (gcols @ sub.reshape(-1, Cin)).reshape(B, my, mx, Cin)
 
 
 def conv_up2x(x: Node, w: Node) -> Node:
@@ -491,10 +553,10 @@ def batch_norm(x: Node, gamma: Node, beta: Node,
     if train and n < 2:
         raise ValueError("batch_norm: batch statistics need >= 2 samples")
     mean, var = stats or (None, None)
-    xc = inv = scale = None
+    inv = scale = None
 
     def fwd(xv, gv, bv):
-        nonlocal mean, var, xc, inv, scale
+        nonlocal mean, var, inv, scale
         if train:
             mean = np.sum(xv, axis=red) * (1.0 / n)
         xc = xv + -mean
@@ -505,6 +567,7 @@ def batch_norm(x: Node, gamma: Node, beta: Node,
         return xc * scale + bv
 
     def bwd(g):
+        xc = x.value + -mean        # the forward's expression: x is kept anyway, xc is not
         sg, sgx = np.sum(g, axis=red), np.sum(g * xc, axis=red)
         gx = scale * (g - (sg + xc * (inv * inv * sgx)) * (1.0 / n)) if train else g * scale
         return gx, sgx * inv, sg

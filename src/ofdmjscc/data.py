@@ -6,12 +6,13 @@ Images live in memory as float64 arrays of shape (H, W, C) with values in
 Checkpoints are a single binary file: magic ``JSCC1``, a version word, then
 length-prefixed sections (JSON metadata, parameter blob, buffer blob,
 optimizer moment blobs) with all floats little-endian float64. The metadata's
-``train_config`` is the only description of the model. Saving and loading
-round-trips bitwise.
+``train_config`` is the only description of the model; ``train_config_sha256``
+beside it catches a hand edit. Saving and loading round-trips bitwise.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from typing import BinaryIO
@@ -163,6 +164,10 @@ def _read_section(f: BinaryIO) -> bytes:
     return payload
 
 
+def _digest(train_config) -> str:
+    return hashlib.sha256(json.dumps(train_config, sort_keys=True).encode()).hexdigest()
+
+
 def save_checkpoint(path, *, params: list[tuple[str, np.ndarray]],
                     buffers: list[tuple[str, np.ndarray]], train_config: dict,
                     opt_state: dict, rng_state: dict) -> None:
@@ -171,10 +176,11 @@ def save_checkpoint(path, *, params: list[tuple[str, np.ndarray]],
     ``params`` are the trainable tensors (order defines the blob layout and
     must match the optimizer moments); ``buffers`` are non-trained state such
     as normalization running statistics; ``train_config`` is the settings
-    dict the model is rebuilt from.
+    dict the model is rebuilt from; its SHA-256 is stored beside it.
     """
     meta = {
         "train_config": train_config,
+        "train_config_sha256": _digest(train_config),
         "rng_state": rng_state,
         "params": [{"name": name, "shape": list(np.asarray(v).shape)}
                    for name, v in params],
@@ -234,7 +240,9 @@ def load_checkpoint(path) -> dict:
     it does not read (the ``arch`` of older files) are ignored. Raises
     :class:`CheckpointError` on bad magic/version, truncation, trailing bytes,
     metadata missing a section or an entry's name/shape, a shape or step that
-    is not a non-negative integer (list), or blob/shape mismatches.
+    is not a non-negative integer (list), a ``train_config`` that does not
+    match its ``train_config_sha256`` (older files have none), or blob/shape
+    mismatches.
     """
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
@@ -262,6 +270,10 @@ def load_checkpoint(path) -> dict:
     missing = [k for k in _META_KEYS if k not in meta]
     if missing:
         raise CheckpointError(f"metadata lacks {', '.join(missing)}")
+    digest = _digest(meta["train_config"])
+    if meta.get("train_config_sha256", digest) != digest:
+        raise CheckpointError("metadata train_config does not match its digest "
+                              "train_config_sha256 (edited by hand?)")
     names, shapes = _entries(meta, "params")
     values = _split_blob(blob, shapes, "parameter")
     buf_names, buf_shapes = _entries(meta, "buffers")

@@ -179,6 +179,8 @@ def op_checks() -> list[tuple]:
          [np.r_[_rng(24).uniform(0.1, 0.8, 6), _rng(25).uniform(1.3, 4.0, 6)]]),
         ("conv2d", lambda x, w: conv(x, w, 1), _draws(28, *conv_shapes)),
         ("conv2d_stride2", lambda x, w: conv(x, w, 2), _draws(29, *conv_shapes)),
+        # kh*kw*Cout <= Cin: the kn2row layout
+        ("conv2d_narrow", lambda x, w: conv(x, w, 1), _draws(54, (2, 5, 4, 9), (3, 3, 9, 1))),
         ("conv_up2x", ad.conv_up2x, _draws(30, (2, 3, 4, 2), (3, 3, 2, 3))),
         ("batchnorm_train", batchnorm(None), bn_inputs),
         ("batchnorm_eval", batchnorm((_rng(52).standard_normal(3),

@@ -2,7 +2,9 @@
 sweep's summation order and result set, finite-difference harness
 sensitivity, and the documented error paths."""
 
+import gc
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,20 +47,22 @@ def test_matmul_forward_batched(rng):
 
 
 def test_conv2d_forward_against_loops(rng):
-    # oracle: direct quadruple loop, cross-correlation with zero padding
-    x = rng.standard_normal((2, 5, 6, 3))
-    w = rng.standard_normal((3, 3, 3, 4))
-    pad, stride = (1, 1), 2
-    out = ad.conv2d(ad.leaf(x), ad.leaf(w), stride=stride, pad=pad).value
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    ref = np.zeros_like(out)
-    for n in range(2):
-        for i in range(out.shape[1]):
-            for j in range(out.shape[2]):
-                patch = xp[n, i * stride:i * stride + 3, j * stride:j * stride + 3]
-                for co in range(4):
-                    ref[n, i, j, co] = np.sum(patch * w[..., co])
-    assert np.allclose(out, ref, atol=1e-12)
+    # oracle: direct quadruple loop, cross-correlation with zero padding; the
+    # stride-2 case runs im2col, the narrow stride-1 case (9*1 <= 12) kn2row
+    pad = (1, 1)
+    for stride, cin, cout in ((2, 3, 4), (1, 12, 1)):
+        x = rng.standard_normal((2, 5, 6, cin))
+        w = rng.standard_normal((3, 3, cin, cout))
+        out = ad.conv2d(ad.leaf(x), ad.leaf(w), stride=stride, pad=pad).value
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        ref = np.zeros_like(out)
+        for n in range(2):
+            for i in range(out.shape[1]):
+                for j in range(out.shape[2]):
+                    patch = xp[n, i * stride:i * stride + 3, j * stride:j * stride + 3]
+                    for co in range(cout):
+                        ref[n, i, j, co] = np.sum(patch * w[..., co])
+        assert np.allclose(out, ref, atol=1e-12)
 
 
 def _conv2d_grads_by_loops(x, w, g, stride, pad):
@@ -80,27 +84,33 @@ def _conv2d_grads_by_loops(x, w, g, stride, pad):
 
 @st.composite
 def _conv2d_geometry(draw):
+    # Cin 1-12 and Cout 1-4 put stride-1 draws of 2-D kernels on both sides of
+    # conv2d's kh*kw*Cout <= Cin rule (kn2row) and its complement (im2col)
     kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     stride = draw(st.integers(1, 3))
     ph, pw = draw(st.integers(0, kh)), draw(st.integers(0, kw))
     h = draw(st.integers(max(1, kh - 2 * ph), kh + 2 * stride + 2))
     w = draw(st.integers(max(1, kw - 2 * pw), kw + 2 * stride + 2))
-    return (kh, kw), stride, (ph, pw), (h, w), draw(st.integers(0, 2 ** 32 - 1))
+    channels = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    return (kh, kw), stride, (ph, pw), (h, w), channels, draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=120, deadline=None)
 @given(_conv2d_geometry())
-@example(((1, 3), 1, (0, 1), (1, 9), 0))      # the subnet's kernel along the subcarriers
-@example(((1, 1), 1, (0, 0), (3, 4), 1))
-@example(((1, 1), 3, (0, 0), (7, 8), 2))      # stride > kernel: phases with no taps
-@example(((2, 3), 3, (1, 0), (6, 7), 3))
-@example(((3, 3), 2, (1, 1), (8, 8), 4))      # enc.conv1's geometry
-@example(((3, 2), 2, (0, 2), (6, 5), 5))      # H + 2p - k not divisible by the stride
+@example(((1, 3), 1, (0, 1), (1, 9), (3, 2), 0))   # the subnet's kernel along the subcarriers
+@example(((1, 3), 1, (0, 1), (1, 9), (8, 2), 6))   # sub_h.conv2: a single row, im2col
+@example(((1, 1), 1, (0, 0), (3, 4), (3, 2), 1))   # 1x1: im2col on a view of x
+@example(((1, 1), 3, (0, 0), (7, 8), (3, 2), 2))   # stride > kernel: phases with no taps
+@example(((2, 3), 3, (1, 0), (6, 7), (3, 2), 3))
+@example(((3, 3), 2, (1, 1), (8, 8), (3, 2), 4))   # enc.conv1's geometry
+@example(((3, 2), 2, (0, 2), (6, 5), (3, 2), 5))   # H + 2p - k not divisible by the stride
+@example(((3, 3), 1, (1, 1), (6, 6), (16, 1), 7))  # dec.conv_out at toy width: kn2row
+@example(((3, 3), 1, (1, 1), (4, 6), (8, 2), 8))   # sub_eq.conv2: 9*2 > 8, im2col
 def test_conv2d_gradients_against_loops(geometry):
-    (kh, kw), stride, pad, (h, w_), seed = geometry
+    (kh, kw), stride, pad, (h, w_), (cin, cout), seed = geometry
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, h, w_, 3))
-    w = rng.standard_normal((kh, kw, 3, 2))
+    x = rng.standard_normal((2, h, w_, cin))
+    w = rng.standard_normal((kh, kw, cin, cout))
     out = ad.conv2d(ad.leaf(x), ad.leaf(w), stride=stride, pad=pad)
     g = rng.standard_normal(out.shape)
     gx, gw = out.vjp(g)
@@ -118,6 +128,40 @@ def test_conv2d_gradients_against_loops(geometry):
         read_x[o * stride:o * stride + kw] = True
     unread = ~(read_y[pad[0]:pad[0] + h, None] & read_x[None, pad[1]:pad[1] + w_])
     assert np.all(gx[:, unread] == 0.0)
+
+
+def _retained_bytes(make):
+    """``make()`` and the bytes its result still holds once it has returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = make()
+        return kept, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+# the node, its closure and per-channel or per-tap arrays: a few KiB
+_NODE_OVERHEAD = 16 * 1024
+
+
+def test_kn2row_conv2d_keeps_its_padded_input_not_an_im2col_matrix(rng):
+    # 9*1 <= 16: kn2row. The padded input is 0.17 MB; an im2col matrix, 1.2 MB
+    x = ad.leaf(rng.standard_normal((4, 16, 16, 16)))
+    w = ad.leaf(rng.standard_normal((3, 3, 16, 1)))
+    out, held = _retained_bytes(lambda: ad.conv2d(x, w, pad=(1, 1)))
+    padded = 4 * 18 * 18 * 16 * 8
+    assert held <= padded + out.value.nbytes + _NODE_OVERHEAD
+
+
+@pytest.mark.parametrize("stats", [None, (np.zeros(16), np.ones(16))], ids=["train", "eval"])
+def test_batch_norm_keeps_its_output_and_per_channel_values_only(rng, stats):
+    # the VJP recomputes the centered input from x, which the graph keeps anyway
+    x = ad.leaf(rng.standard_normal((8, 8, 8, 16)))
+    gamma, beta = ad.leaf(rng.uniform(0.5, 1.5, 16)), ad.leaf(rng.standard_normal(16))
+    (out, _, _), held = _retained_bytes(lambda: ad.batch_norm(x, gamma, beta, stats))
+    assert held <= out.value.nbytes + _NODE_OVERHEAD
 
 
 def _check_conv_up2x(b, h, w_, cin, cout, seed):

@@ -326,6 +326,32 @@ def test_cli_eval_ignores_arch_of_older_checkpoints(tmp_path, tiny_cfg_file):
             == (tmp_path / "old" / "metrics.csv").read_bytes())
 
 
+def test_cli_eval_rejects_a_train_config_that_does_not_match_its_digest(
+        tmp_path, tiny_cfg_file, capsys):
+    # an edit that keeps every tensor shape, such as pilot_seed, would evaluate
+    # another transmitter; the stored digest catches it. Files written before
+    # the digest existed have none and still evaluate
+    run = _train(tmp_path, tiny_cfg_file)
+    ck = run / "checkpoint.jscc"
+    edited, undigested = tmp_path / "edited.jscc", tmp_path / "undigested.jscc"
+    for path in (edited, undigested):
+        path.write_bytes(ck.read_bytes())
+
+    def bump_pilot_seed(meta):
+        meta["train_config"]["pilot_seed"] += 1
+
+    rewrite_meta(edited, bump_pilot_seed)
+    rewrite_meta(undigested, lambda meta: meta.pop("train_config_sha256"))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(edited), "--out", str(tmp_path / "e")]) == 1
+    assert ("error: metadata train_config does not match its digest"
+            in capsys.readouterr().err)
+    for path, sub in ((ck, "new"), (undigested, "old")):
+        assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / sub)]) == 0
+    assert ((tmp_path / "new" / "metrics.csv").read_bytes()
+            == (tmp_path / "old" / "metrics.csv").read_bytes())
+
+
 def test_cli_eval_zero_realizations_rejected(tmp_path, tiny_cfg_file, capsys):
     # 0 is a value, not "use the checkpoint default": evaluate must see and reject it
     run = _train(tmp_path, tiny_cfg_file)
