@@ -4,11 +4,14 @@ A small define-by-run engine: every operation returns a :class:`Node` holding
 the forward value, references to its parent nodes and a closure that computes
 vector-Jacobian products. :func:`backward` sweeps the graph once in
 descending node id, a reverse topological order, and returns the gradients of
-the nodes where the sweep stops (leaves, constants and ``no_grad`` nodes).
+the nodes where the sweep stops (leaves, constants and ``no_grad`` nodes). The
+sweep consumes the graph: it frees each node's closure once its VJP has run,
+so a graph is differentiated once.
 
 Determinism contract: node ids increase in creation order, and the
 contributions into a node are summed as they arrive, in descending consumer
-id, so the same graph always gives bitwise-identical gradients.
+id, so a graph rebuilt from the same values always gives bitwise-identical
+gradients.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ class no_grad:
 
     Such a node lists its inputs as ``parents`` (for tools that inspect a
     fresh node, such as FLOP counting) only until an op consumes it. So no
-    graph builds up: each op's closures (and what they hold, such as conv2d's
-    im2col matrix or padded input) and its input values are freed as soon as
-    the next op has consumed its output. The state is per thread, so enter it
-    in the thread that runs the ops.
+    graph builds up: what a VJP would hold (such as kn2row conv2d's padded
+    input or relu's mask) is freed when the op returns, and its input values
+    as soon as the next op has consumed its output. The state is per thread,
+    so enter it in the thread that runs the ops.
     """
 
     def __enter__(self):
@@ -104,7 +107,7 @@ def constant(value) -> Node:
 
 def assign(node: Node, value) -> None:
     """Replace a leaf's value in place (optimizer updates between graphs)."""
-    if node.parents:
+    if node.parents or node.vjp is not None:
         raise ValueError("assign: only leaf nodes can be assigned")
     new = _freeze(np.asarray(value, dtype=np.float64))
     if new.shape != node.value.shape:
@@ -410,9 +413,11 @@ def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> 
     2-D kernel with a narrow output, such as the decoder's last conv),
     ``_conv2d_kn2row`` runs: the padded input times all taps side by side.
     Otherwise im2col: the (B*Ho*Wo, kh*kw*Cin) window matrix times the
-    (kh*kw*Cin, Cout) kernel, and the VJP keeps that matrix for gw (for a 1x1
-    stride-1 conv without padding, a view of x). On a single-row kernel such as
-    the explicit receiver's 1x3 one, kn2row's shifted adds cost what it saves.
+    (kh*kw*Cin, Cout) kernel. The VJP keeps x, not that kh*kw times larger
+    matrix, and rebuilds it for gw from the same values, so gw is the same GEMM
+    on the same operands (for a 1x1 stride-1 conv without padding the matrix is
+    a view of x). On a single-row kernel such as the explicit receiver's 1x3
+    one, kn2row's shifted adds cost what it saves.
     """
     if x.value.ndim != 4 or w.value.ndim != 4:
         raise ValueError(f"conv2d: need x(B,H,W,C), w(kh,kw,Cin,Cout); got {x.shape}, {w.shape}")
@@ -429,15 +434,16 @@ def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> 
     if s == 1 and kh > 1 and kw > 1 and kh * kw * Cout <= Cin:
         return _conv2d_kn2row(x, w, pad, Ho, Wo)
 
-    cols = _im2col(x.value, kh, kw, s, ph, pw, H + 2 * ph, W + 2 * pw)
-    wmat = w.value.reshape(kh * kw * Cin, Cout)
+    def cols(xv):
+        return _im2col(xv, kh, kw, s, ph, pw, H + 2 * ph, W + 2 * pw)
 
     def fwd(xv, wv):
-        return (cols @ wmat).reshape(B, Ho, Wo, Cout)
+        return (cols(xv) @ wv.reshape(kh * kw * Cin, Cout)).reshape(B, Ho, Wo, Cout)
 
+    xv = x.value
     return record("conv2d", (x, w), fwd,
                   lambda g: (_conv_transpose(g, w.value, s, pad, (H, W)),
-                             (cols.T @ g.reshape(B * Ho * Wo, Cout)).reshape(kh, kw, Cin, Cout)))
+                             (cols(xv).T @ g.reshape(B * Ho * Wo, Cout)).reshape(kh, kw, Cin, Cout)))
 
 
 def _conv2d_kn2row(x: Node, w: Node, pad: tuple[int, int], Ho: int, Wo: int) -> Node:
@@ -585,34 +591,52 @@ def _grad_parents(node: Node) -> tuple:
     return node.parents if node.vjp is not None else ()
 
 
+def _consumed(g):
+    """Stands in for a VJP that :func:`backward` has run and dropped."""
+    raise RuntimeError("backward: this node's graph was consumed by an earlier backward")
+
+
 def _reachable(loss: Node) -> list[Node]:
+    """The nodes ``loss`` needs a gradient for, in ascending id."""
     seen = {loss.nid: loss}
     stack = [loss]
     while stack:
         node = stack.pop()
+        if node.vjp is _consumed:
+            raise RuntimeError(f"backward: the {node.op!r} node {node.nid} was consumed by "
+                               "an earlier backward; build the graph again")
         for p in _grad_parents(node):
             if p.nid >= node.nid:
                 raise RuntimeError("cycle detected: parent id >= child id")
             if p.nid not in seen:
                 seen[p.nid] = p
                 stack.append(p)
-    return [seen[k] for k in sorted(seen, reverse=True)]
+    return [seen[k] for k in sorted(seen)]
 
 
 def backward(loss: Node) -> dict[Node, np.ndarray]:
     """d(loss)/d(node) for every reachable node that passes no gradient on.
 
     Those are the leaves, constants and :class:`no_grad` nodes reached from
-    ``loss`` (``loss`` itself if it is one); intermediate gradients are not
-    returned, and each is freed once its VJP has run. One sweep in descending
-    node id: each contribution is added to its node's pending gradient as it
-    arrives, so the sum runs in descending consumer id.
+    ``loss`` (``loss`` itself if it is one); they are left as they are.
+    Intermediate gradients are not returned. One sweep in descending node id:
+    each contribution is added to its node's pending gradient as it arrives,
+    so the sum runs in descending consumer id.
+
+    The sweep consumes the graph. Once a node's VJP has run, the node drops
+    its VJP and parents, so what its closure holds is freed at once, and
+    each intermediate node, with its gradient, as soon as its last consumer
+    has run. Afterwards ``loss`` keeps only its value. A later ``backward``
+    that reaches a consumed node raises ``RuntimeError`` before any VJP runs:
+    to differentiate again, build the graph again.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+    order = _reachable(loss)
     pending: dict[int, np.ndarray] = {loss.nid: np.ones(loss.value.shape)}
     grads: dict[Node, np.ndarray] = {}
-    for node in _reachable(loss):
+    while order:
+        node = order.pop()          # the sweep keeps no reference to what it has done
         g = np.asarray(pending.pop(node.nid), dtype=np.float64)
         if g.shape != node.value.shape:
             raise ValueError(f"backward: gradient shape {g.shape} != value shape "
@@ -621,11 +645,12 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
             grads[node] = g
             continue
         factor = _vjp_scale.get(node.op, 1.0)
-        pgrads = node.vjp(g)
-        if len(pgrads) != len(node.parents):
+        pgrads, parents = node.vjp(g), node.parents
+        node.vjp, node.parents = _consumed, ()
+        if len(pgrads) != len(parents):
             raise RuntimeError(f"backward: op {node.op!r} returned {len(pgrads)} "
-                               f"gradients for {len(node.parents)} parents")
-        for p, pg in zip(node.parents, pgrads):
+                               f"gradients for {len(parents)} parents")
+        for p, pg in zip(parents, pgrads):
             if factor != 1.0:
                 pg = pg * factor
             prev = pending.get(p.nid)

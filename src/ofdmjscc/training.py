@@ -168,7 +168,6 @@ def train(model: JsccModel, images: np.ndarray, tcfg: TrainConfig,
             if not math.isfinite(lv) or lv > DIVERGENCE_LOSS:
                 raise RuntimeError(f"training diverged at epoch {epoch}: loss={lv}")
             grads = ad.backward(loss)
-            del recon, loss     # free the forward graph before Adam's temporaries
             opt.step(grads, lr)
             total += lv * len(idx)
             seen += len(idx)

@@ -106,6 +106,7 @@ def _conv2d_geometry(draw):
 @example(((3, 2), 2, (0, 2), (6, 5), (3, 2), 5))   # H + 2p - k not divisible by the stride
 @example(((3, 3), 1, (1, 1), (6, 6), (16, 1), 7))  # dec.conv_out at toy width: kn2row
 @example(((3, 3), 1, (1, 1), (4, 6), (8, 2), 8))   # sub_eq.conv2: 9*2 > 8, im2col
+@example(((3, 3), 1, (1, 1), (8, 8), (16, 16), 9))  # a 3x3 16 -> 16 conv: im2col
 def test_conv2d_gradients_against_loops(geometry):
     (kh, kw), stride, pad, (h, w_), (cin, cout), seed = geometry
     rng = np.random.default_rng(seed)
@@ -118,6 +119,12 @@ def test_conv2d_gradients_against_loops(geometry):
     assert gx.shape == x.shape and gw.shape == w.shape
     np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-12)
+    if not (stride == 1 and kh > 1 and kw > 1 and kh * kw * cout <= cin):
+        # im2col: the VJP rebuilds the window matrix, so the forward and gw are
+        # bitwise those of one matrix built once and kept
+        cols = ad._im2col(x, kh, kw, stride, *pad, h + 2 * pad[0], w_ + 2 * pad[1])
+        assert np.array_equal(out.value, (cols @ w.reshape(-1, cout)).reshape(out.shape))
+        assert np.array_equal(gw, (cols.T @ g.reshape(-1, cout)).reshape(w.shape))
     # input rows and columns that no window reads get exactly no gradient
     Ho, Wo = out.shape[1:3]
     read_y = np.zeros(h + 2 * pad[0], bool)
@@ -153,6 +160,14 @@ def test_kn2row_conv2d_keeps_its_padded_input_not_an_im2col_matrix(rng):
     out, held = _retained_bytes(lambda: ad.conv2d(x, w, pad=(1, 1)))
     padded = 4 * 18 * 18 * 16 * 8
     assert held <= padded + out.value.nbytes + _NODE_OVERHEAD
+
+
+def test_im2col_conv2d_keeps_x_not_its_window_matrix(rng):
+    # 9*16 > 16: im2col. Its window matrix is 295 KB; the VJP rebuilds it from x
+    x = ad.leaf(rng.standard_normal((4, 8, 8, 16)))
+    w = ad.leaf(rng.standard_normal((3, 3, 16, 16)))
+    out, held = _retained_bytes(lambda: ad.conv2d(x, w, pad=(1, 1)))
+    assert held <= out.value.nbytes + _NODE_OVERHEAD
 
 
 @pytest.mark.parametrize("stats", [None, (np.zeros(16), np.ones(16))], ids=["train", "eval"])
@@ -403,12 +418,53 @@ def test_backward_returns_only_nodes_that_pass_nothing_on(rng):
     assert not {m, s, loss} & g.keys()
 
 
-def test_backward_twice_same_graph_identical(rng):
+def _conv_bn_relu_conv(x, w1, gamma, beta, w2):
+    h = ad.batch_norm(ad.conv2d(x, w1, pad=(1, 1)), gamma, beta)[0]
+    return ad.sum_all(ad.conv2d(ad.relu(h), w2, pad=(1, 1)))
+
+
+def _conv_bn_relu_conv_leaves(rng):
+    return (ad.leaf(rng.standard_normal((4, 8, 8, 16))),
+            ad.leaf(rng.standard_normal((3, 3, 16, 16))),
+            ad.leaf(rng.uniform(0.5, 1.5, 16)), ad.leaf(rng.standard_normal(16)),
+            ad.leaf(rng.standard_normal((3, 3, 16, 16))))
+
+
+def test_rebuilt_graph_gives_identical_gradients(rng):
+    leaves = _conv_bn_relu_conv_leaves(rng)
+    g1, g2 = (ad.backward(_conv_bn_relu_conv(*leaves)) for _ in range(2))
+    for leaf in leaves:
+        assert np.array_equal(g1[leaf], g2[leaf])
+
+
+def test_backward_consumes_its_graph(rng):
     x = ad.leaf(rng.standard_normal(7))
-    loss = ad.sum_all(ad.sigmoid(ad.mul(x, x)))
-    g1 = ad.backward(loss)[x]
-    g2 = ad.backward(loss)[x]
-    assert np.array_equal(g1, g2)
+    h = ad.sigmoid(ad.mul(x, x))
+    loss = ad.sum_all(h)
+    want = ad.backward(ad.sum_all(ad.sigmoid(ad.mul(x, x))))[x]
+    assert np.array_equal(ad.backward(loss)[x], want)
+    assert loss.parents == () and h.parents == ()   # loss keeps only its value
+    with pytest.raises(RuntimeError, match="'sum_all'.*earlier backward"):
+        ad.backward(loss)
+    # a second loss through an intermediate node the first backward consumed
+    other = ad.sum_all(ad.mul(h, ad.constant(np.ones(7))))
+    with pytest.raises(RuntimeError, match="'sigmoid'.*earlier backward"):
+        ad.backward(other)
+    with pytest.raises(ValueError):
+        ad.assign(h, np.zeros(7))            # a consumed node is no leaf
+    assert np.array_equal(ad.backward(ad.sum_all(ad.sigmoid(ad.mul(x, x))))[x], want)
+
+
+def test_backward_frees_the_graph_it_has_run(rng):
+    # loss stays referenced; what is left is the leaves and their gradients
+    def run():
+        leaves = _conv_bn_relu_conv_leaves(rng)
+        loss = _conv_bn_relu_conv(*leaves)
+        return leaves, loss, ad.backward(loss)
+
+    (leaves, loss, grads), held = _retained_bytes(run)
+    kept = sum(n.value.nbytes for n in leaves) + sum(g.nbytes for g in grads.values())
+    assert loss.value.size == 1 and held <= kept + 64 * 1024
 
 
 def test_repeated_forward_same_value(rng):

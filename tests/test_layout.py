@@ -1,7 +1,9 @@
-"""Module layout: settings have one home, and the names the benchmark traces exist."""
+"""Module layout: settings have one home, the names the benchmark traces exist, and
+the committed benchmark summaries share the baseline's fields."""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import ofdmjscc
@@ -51,3 +53,18 @@ def test_benchmark_traced_names_resolve():
         if not callable(owner):
             missing.append(path)
     assert len(paths) >= 20 and missing == []
+
+
+def _bench_fields(path: Path) -> tuple:
+    summary = json.loads(path.read_text())
+    return (sorted(summary),
+            {wl: sorted(metrics) for wl, metrics in summary["workloads"].items()})
+
+
+def test_committed_bench_files_have_the_baseline_fields():
+    # the performance trajectory is diffable only if every summary has the same fields
+    want = _bench_fields(ROOT / "perfbench" / "BENCH_baseline.json")
+    files = sorted((ROOT / "bench").glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        assert _bench_fields(path) == want, path.name
