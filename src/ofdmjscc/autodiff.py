@@ -133,7 +133,7 @@ def record(op: str, inputs: Sequence[Node], forward: Callable, vjp: Callable) ->
         except FloatingPointError as e:
             raise FloatingPointError(f"{op}: non-finite forward value ({e})") from None
     value = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise FloatingPointError(f"{op}: non-finite forward value")
     value.setflags(write=False)
     if _grad_mode.enabled:
@@ -148,6 +148,11 @@ def _require_same_shape(op: str, a: Node, b: Node) -> None:
     if a.value.shape != b.value.shape:
         raise ValueError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape} "
                          "(no implicit broadcasting)")
+
+
+def _require_int(op: str, name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{op}: {name} must be an int >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +282,7 @@ def concat(nodes: Sequence[Node], axis: int) -> Node:
 
 def tile(a: Node, axis: int, reps: int) -> Node:
     """Repeat a size-1 axis ``reps`` times; gradient sums back over it."""
+    _require_int("tile", "reps", reps, 1)
     axis = axis % a.value.ndim
     if a.value.shape[axis] != 1:
         raise ValueError(f"tile: axis {axis} must have size 1, got {a.value.shape}")
@@ -367,42 +373,65 @@ def clip_scale(a2: Node, threshold: float) -> Node:
     return record("clip_scale", (a2,), lambda x: s, bwd)
 
 
-def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, top: int, left: int,
-            hb: int, wb: int) -> np.ndarray:
-    """Windows of ``a`` (B, H, W, C) as rows of a (B*ho*wo, kh*kw*C) matrix.
-
-    ``a`` sits in a zero buffer of (hb, wb) with its element (0, 0) at buffer
-    position (top, left); either may be negative, and what falls outside the
-    buffer is cut. The kh×kw windows run over the buffer at ``stride``.
-    """
+def _embed(a: np.ndarray, top: int, left: int, hb: int, wb: int) -> np.ndarray:
+    """``a`` (B, H, W, C) in a zero (B, hb, wb, C) buffer, its element (0, 0) at buffer
+    position (top, left); either may be negative, and what falls outside the buffer is
+    cut. ``a`` itself if it fills the buffer exactly."""
     B, H, W, C = a.shape
     if (top, left, hb, wb) == (0, 0, H, W):
-        buf = a
-    else:
-        buf = np.zeros((B, hb, wb, C))
-        y0, y1 = max(top, 0), min(top + H, hb)
-        x0, x1 = max(left, 0), min(left + W, wb)
-        if y0 < y1 and x0 < x1:
-            buf[:, y0:y1, x0:x1] = a[:, y0 - top:y1 - top, x0 - left:x1 - left]
-    win = np.lib.stride_tricks.sliding_window_view(buf, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * C)
+        return a
+    buf = np.zeros((B, hb, wb, C))
+    y0, y1 = max(top, 0), min(top + H, hb)
+    x0, x1 = max(left, 0), min(left + W, wb)
+    if y0 < y1 and x0 < x1:
+        buf[:, y0:y1, x0:x1] = a[:, y0 - top:y1 - top, x0 - left:x1 - left]
+    return buf
 
 
-def _phase(r: int, k: int, s: int, p: int, n: int) -> tuple[int, int, int, int]:
-    """One axis of stride phase ``r`` of a conv2d input gradient.
+def _windows(buf: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The kh×kw windows of ``buf`` (B, ., ., C) with corners (i*stride, j*stride), i < ho,
+    j < wo, as rows of a (B*ho*wo, kh*kw*C) matrix, in (B, i, j) row and (kh, kw, C)
+    column order: one read-only strided view, reshaped (a copy unless the windows tile
+    the buffer)."""
+    sb, sh, sw, sc = buf.strides
+    view = np.lib.stride_tricks.as_strided(
+        buf, (buf.shape[0], ho, wo, kh, kw, buf.shape[3]),
+        (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    return view.reshape(-1, kh * kw * buf.shape[3])
 
-    Padded input positions ``q*s + r`` take taps ``r, r+s, ...`` (``t`` of
-    them) from output positions ``q, q-1, ...``. Returns ``(t, y0, m, top)``:
-    the phase's rows inside the unpadded input are ``y0, y0+s, ...`` (``m``
-    of them), and in a window view over the output gradient their windows
-    start at output row ``-top``.
+
+def _im2col(a: np.ndarray, kh: int, kw: int, stride: int, top: int, left: int,
+            hb: int, wb: int) -> np.ndarray:
+    """Windows of ``a`` (B, H, W, C) as rows of a (B*ho*wo, kh*kw*C) matrix: the kh×kw
+    windows at ``stride`` over a zero (hb, wb) buffer holding ``a`` at (top, left)
+    (``_embed``, which cuts what falls outside), read from one strided view (``_windows``)."""
+    return _windows(_embed(a, top, left, hb, wb), kh, kw, stride,
+                    (hb - kh) // stride + 1, (wb - kw) // stride + 1)
+
+
+def _phases(k: int, s: int, p: int, n: int) -> list[tuple[int, int, int, int, int]]:
+    """One axis of the stride phases of a conv2d input gradient that have taps and rows.
+
+    Padded input positions ``q*s + r`` take taps ``r, r+s, ...`` (``t`` of them)
+    from output positions ``q, q-1, ...``. Per phase ``(r, t, y0, m, top)``: its
+    rows inside the unpadded input are ``y0, y0+s, ...`` (``m`` of them), and the
+    window of its i-th row over the output gradient starts at output row ``i - top``.
     """
-    t = len(range(r, k, s))
-    q0 = -((r - p) // s)                 # first q with q*s + r >= p
-    y0 = q0 * s + r - p
-    m = len(range(y0, n, s))
-    return t, y0, m, t - 1 - q0
+    phases = []
+    for r in range(min(s, k)):
+        t = len(range(r, k, s))
+        q0 = -((r - p) // s)                 # first q with q*s + r >= p
+        y0 = q0 * s + r - p
+        m = len(range(y0, n, s))
+        if m:
+            phases.append((r, t, y0, m, t - 1 - q0))
+    return phases
+
+
+def _span(phases: list[tuple[int, int, int, int, int]]) -> tuple[int, int]:
+    """The first output-gradient row that the phases' windows read, and how many they span."""
+    lo = min(-top for _, _, _, _, top in phases)
+    return lo, max(m + t - 1 - top for _, t, _, m, top in phases) - lo
 
 
 def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> Node:
@@ -425,24 +454,26 @@ def conv2d(x: Node, w: Node, stride: int = 1, pad: tuple[int, int] = (0, 0)) -> 
     kh, kw, wc, Cout = w.value.shape
     if wc != Cin:
         raise ValueError(f"conv2d: channel mismatch {Cin} vs {wc}")
+    _require_int("conv2d", "stride", stride, 1)
     ph, pw = pad
-    s = int(stride)
-    Ho = (H + 2 * ph - kh) // s + 1
-    Wo = (W + 2 * pw - kw) // s + 1
+    _require_int("conv2d", "pad", ph, 0)
+    _require_int("conv2d", "pad", pw, 0)
+    Ho = (H + 2 * ph - kh) // stride + 1
+    Wo = (W + 2 * pw - kw) // stride + 1
     if Ho < 1 or Wo < 1:
         raise ValueError("conv2d: output would be empty")
-    if s == 1 and kh > 1 and kw > 1 and kh * kw * Cout <= Cin:
+    if stride == 1 and kh > 1 and kw > 1 and kh * kw * Cout <= Cin:
         return _conv2d_kn2row(x, w, pad, Ho, Wo)
 
     def cols(xv):
-        return _im2col(xv, kh, kw, s, ph, pw, H + 2 * ph, W + 2 * pw)
+        return _im2col(xv, kh, kw, stride, ph, pw, H + 2 * ph, W + 2 * pw)
 
     def fwd(xv, wv):
         return (cols(xv) @ wv.reshape(kh * kw * Cin, Cout)).reshape(B, Ho, Wo, Cout)
 
     xv = x.value
     return record("conv2d", (x, w), fwd,
-                  lambda g: (_conv_transpose(g, w.value, s, pad, (H, W)),
+                  lambda g: (_conv_transpose(g, w.value, stride, pad, (H, W)),
                              (cols(xv).T @ g.reshape(B * Ho * Wo, Cout)).reshape(kh, kw, Cin, Cout)))
 
 
@@ -488,29 +519,29 @@ def _conv2d_kn2row(x: Node, w: Node, pad: tuple[int, int], Ho: int, Wo: int) -> 
 
 
 def _conv_transpose(g: np.ndarray, w: np.ndarray, s: int, pad, hw) -> np.ndarray:
-    """The adjoint of ``conv2d(., w, s, pad)`` on an ``hw`` input, applied to ``g``: per
-    stride phase, one GEMM of a window view over ``g`` with the flipped ``w[ry::s, rx::s]``."""
-    if s == 1:                      # the one phase covers every row and column
-        return _phase_gemm(g, w, 1, pad, hw, 0, 0)[2]
-    out = np.zeros((g.shape[0], *hw, w.shape[2]))
-    for ry, rx in itertools.product(range(s), range(s)):
-        y0, x0, block = _phase_gemm(g, w, s, pad, hw, ry, rx)
-        if block is not None:
-            out[:, y0::s, x0::s] = block
-    return out
+    """The adjoint of ``conv2d(., w, s, pad)`` on an ``hw`` input, applied to ``g``.
 
-
-def _phase_gemm(g: np.ndarray, w: np.ndarray, s: int, pad, hw, ry: int, rx: int):
-    """Stride phase (ry, rx) of ``_conv_transpose``: its first input row and column and its
-    (B, my, mx, Cin) block, which is ``None`` if no tap reaches it (those rows stay 0)."""
+    Split by stride phase (Dumoulin & Visin, arXiv 1603.07285): the input rows and
+    columns of phase (ry, rx) are one GEMM of the phase's windows over ``g`` with
+    the flipped, channel-swapped ``w[ry::s, rx::s]``; rows no tap reaches stay 0. g
+    is zero-padded once, by the union of the phases' margins, and every phase's
+    window matrix is a strided view of that one buffer (``_windows``).
+    """
     B, (kh, kw, Cin, _) = g.shape[0], w.shape
-    ty, y0, my, top = _phase(ry, kh, s, pad[0], hw[0])
-    tx, x0, mx, left = _phase(rx, kw, s, pad[1], hw[1])
-    if ty == 0 or tx == 0 or my == 0 or mx == 0:
-        return y0, x0, None
-    gcols = _im2col(g, ty, tx, 1, top, left, my + ty - 1, mx + tx - 1)
-    sub = w[ry::s, rx::s][::-1, ::-1].transpose(0, 1, 3, 2)
-    return y0, x0, (gcols @ sub.reshape(-1, Cin)).reshape(B, my, mx, Cin)
+    ys, xs = _phases(kh, s, pad[0], hw[0]), _phases(kw, s, pad[1], hw[1])
+    if not (ys and xs):             # no tap reaches any input row or column
+        return np.zeros((B, *hw, Cin))
+    (y_lo, hb), (x_lo, wb) = _span(ys), _span(xs)
+    buf = _embed(g, -y_lo, -x_lo, hb, wb)
+    out = np.zeros((B, *hw, Cin)) if s > 1 else None
+    for (ry, ty, y0, my, top), (rx, tx, x0, mx, left) in itertools.product(ys, xs):
+        gcols = _windows(buf[:, -top - y_lo:, -left - x_lo:], ty, tx, 1, my, mx)
+        sub = w[ry::s, rx::s][::-1, ::-1].transpose(0, 1, 3, 2)
+        block = (gcols @ sub.reshape(-1, Cin)).reshape(B, my, mx, Cin)
+        if s == 1:                  # the one phase covers every row and column
+            return block
+        out[:, y0::s, x0::s] = block
+    return out
 
 
 def conv_up2x(x: Node, w: Node) -> Node:

@@ -111,7 +111,8 @@ def idft(a: CplxNode) -> CplxNode:
 def fir(y: CplxNode, taps: np.ndarray) -> CplxNode:
     """Leading-aligned FIR filter of (B, T) ``y`` with constant complex (B, L) taps:
     sample n of row b is ``sum_l taps[b, l] * y[b, n - l]`` (0 for n < l), n < T.
-    Each direction is one window view times the taps."""
+    Each direction is one batched product of the taps with the (B, T, L) windows of
+    a zero-bordered copy of its input, a read-only strided view of that copy."""
     h = np.asarray(taps, dtype=np.complex128)
     if y.ndim != 2 or h.ndim != 2 or h.shape[0] != y.shape[0] or h.shape[1] > y.shape[1]:
         raise ValueError(f"fir: need y(B,T), taps(B,L<=T); got {y.shape}, {h.shape}")
@@ -120,7 +121,8 @@ def fir(y: CplxNode, taps: np.ndarray) -> CplxNode:
     def windows(v: np.ndarray, lead: int) -> np.ndarray:
         buf = np.zeros((B, T + L - 1), dtype=np.complex128)
         buf[:, lead:lead + T] = _c(v)
-        return np.lib.stride_tricks.sliding_window_view(buf, L, axis=1)
+        return np.lib.stride_tricks.as_strided(buf, (B, T, L), (*buf.strides, buf.strides[1]),
+                                               writeable=False)
 
     return CplxNode(ad.record(
         "fir", (y.z,), lambda x: _r((windows(x, L - 1) @ h[:, ::-1, None])[..., 0]),

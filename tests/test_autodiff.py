@@ -3,6 +3,7 @@ sweep's summation order and result set, finite-difference harness
 sensitivity, and the documented error paths."""
 
 import gc
+import itertools
 import threading
 import tracemalloc
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import ofdmjscc.autodiff as ad
 from ofdmjscc import cplx, gradcheck
@@ -215,6 +217,113 @@ def test_conv_up2x_matches_upsampled_conv2d(b, h, w_, cin, cout, seed):
 
 def test_conv_up2x_pinned_case():
     _check_conv_up2x(1, 2, 3, 2, 3, seed=7)
+
+
+# ---------------------------------------------------------------------------
+# window matrices: bitwise those of the sliding_window_view formulation
+# ---------------------------------------------------------------------------
+
+def _im2col_reference(a, kh, kw, s, top, left, hb, wb):
+    """The window matrix as sliding_window_view, a strided slice and a transpose."""
+    B, H, W, C = a.shape
+    buf = a
+    if (top, left, hb, wb) != (0, 0, H, W):
+        buf = np.zeros((B, hb, wb, C))
+        y0, y1 = max(top, 0), min(top + H, hb)
+        x0, x1 = max(left, 0), min(left + W, wb)
+        if y0 < y1 and x0 < x1:
+            buf[:, y0:y1, x0:x1] = a[:, y0 - top:y1 - top, x0 - left:x1 - left]
+    win = sliding_window_view(buf, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * C)
+
+
+def _conv_transpose_reference(g, w, s, pad, hw):
+    """conv2d's adjoint per stride phase, each phase windowing its own zero-bordered copy of g."""
+    B, (kh, kw, Cin, _) = g.shape[0], w.shape
+
+    def phase(r, k, p, n):
+        t = len(range(r, k, s))
+        q0 = -((r - p) // s)
+        y0 = q0 * s + r - p
+        return t, y0, len(range(y0, n, s)), t - 1 - q0
+
+    out = np.zeros((B, *hw, Cin))
+    for ry, rx in itertools.product(range(s), range(s)):
+        (ty, y0, my, top), (tx, x0, mx, left) = phase(ry, kh, pad[0], hw[0]), phase(rx, kw, pad[1], hw[1])
+        if ty and tx and my and mx:
+            cols = _im2col_reference(g, ty, tx, 1, top, left, my + ty - 1, mx + tx - 1)
+            sub = w[ry::s, rx::s][::-1, ::-1].transpose(0, 1, 3, 2)
+            out[:, y0::s, x0::s] = (cols @ sub.reshape(-1, Cin)).reshape(B, my, mx, Cin)
+    return out
+
+
+_LAYOUTS = {
+    "contiguous": lambda a: a,
+    "transposed": lambda a: np.ascontiguousarray(a.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3),
+    "sliced": lambda a: np.repeat(a, 2, axis=2)[:, ::-1, ::2],
+}
+
+
+@st.composite
+def _im2col_geometry(draw):
+    kh, kw, stride = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top, left = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    # buffers from the kernel's size to past a's far edge: windows cut at either edge
+    hb, wb = draw(st.integers(kh, max(kh, top + h + 3))), draw(st.integers(kw, max(kw, left + w + 3)))
+    return ((kh, kw), stride, (top, left, hb, wb), (h, w), draw(st.integers(1, 3)),
+            draw(st.sampled_from(sorted(_LAYOUTS))), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_im2col_geometry())
+@example(((3, 3), 1, (0, 0, 5, 4), (5, 4), 2, "transposed", 0))   # a itself is the buffer
+@example(((2, 1), 2, (0, 0, 4, 3), (4, 3), 3, "sliced", 1))
+@example(((4, 4), 2, (1, 1, 6, 6), (2, 2), 2, "contiguous", 2))   # conv_up2x's VJP
+def test_im2col_matches_sliding_window_view(geometry):
+    (kh, kw), s, placement, (h, w_), c, layout, seed = geometry
+    a = _LAYOUTS[layout](np.random.default_rng(seed).standard_normal((2, h, w_, c)))
+    got, want = ad._im2col(a, kh, kw, s, *placement), _im2col_reference(a, kh, kw, s, *placement)
+    # equal values in an equal layout, so every GEMM on the matrix is bitwise the same
+    assert np.array_equal(got, want) and got.strides == want.strides
+
+
+@settings(max_examples=120, deadline=None)
+@given(_conv2d_geometry())
+@example(((3, 3), 2, (1, 1), (8, 8), (3, 2), 4))   # enc.conv1's geometry
+@example(((1, 1), 3, (0, 0), (7, 8), (3, 2), 2))   # stride > kernel: phases with no taps
+@example(((1, 1), 2, (1, 1), (1, 1), (3, 2), 3))   # no phase has taps and rows: gx is 0
+def test_conv_transpose_matches_one_buffer_per_phase(geometry):
+    # batch 2 and C-contiguous g, as conv2d's VJP gets it. With one image and one
+    # input channel, a phase one column wide made the per-phase window matrix an
+    # overlapping view, which numpy's matrix-vector product does not hand to BLAS:
+    # there the last bit may differ.
+    (kh, kw), stride, pad, (h, w_), (cin, cout), seed = geometry
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((kh, kw, cin, cout))
+    g = rng.standard_normal((2, (h + 2 * pad[0] - kh) // stride + 1,
+                             (w_ + 2 * pad[1] - kw) // stride + 1, cout))
+    got = ad._conv_transpose(g, w, stride, pad, (h, w_))
+    assert np.array_equal(got, _conv_transpose_reference(g, w, stride, pad, (h, w_)))
+    # conv_up2x's forward: the 4x4 folded kernel at stride 2, pad (1, 1)
+    k4, v = rng.standard_normal((4, 4, cout, cin)), rng.standard_normal((2, h, w_, cin))
+    got = ad._conv_transpose(v, k4, 2, (1, 1), (2 * h, 2 * w_))
+    assert np.array_equal(got, _conv_transpose_reference(v, k4, 2, (1, 1), (2 * h, 2 * w_)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda x, w: ad.conv2d(x, w, stride=1.5), "conv2d: stride"),
+    (lambda x, w: ad.conv2d(x, w, stride=0), "conv2d: stride"),
+    (lambda x, w: ad.conv2d(x, w, pad=(-1, 0)), "conv2d: pad"),
+    (lambda x, w: ad.tile(ad.reshape(x, (1, 50)), 0, 0), "tile: reps"),
+    (lambda x, w: ad.tile(ad.reshape(x, (1, 50)), 0, -2), "tile: reps"),
+], ids=["stride-not-int", "stride-zero", "pad-negative", "reps-zero", "reps-negative"])
+def test_conv2d_and_tile_reject_bad_arguments(call, match):
+    # each of these used to run on a truncated stride, a cropped input or an
+    # empty axis, or to fail inside numpy without naming the argument
+    x, w = ad.leaf(np.ones((1, 5, 5, 2))), ad.leaf(np.ones((3, 3, 2, 2)))
+    with pytest.raises(ValueError, match=match):
+        call(x, w)
 
 
 def test_safe_recip_zero_maps_to_zero():

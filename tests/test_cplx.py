@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import ofdmjscc.autodiff as ad
 from ofdmjscc import cplx
@@ -134,6 +135,27 @@ def test_fir_matches_two_plane_reference(geometry):
     r = np.random.default_rng(seed + 2)
     taps = r.standard_normal((b, n_taps)) + 1j * r.standard_normal((b, n_taps))
     _compare(lambda y: cplx.fir(y, taps), lambda y: _ref_fir(y, taps), [(b, t)], 0, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fir_geometry())
+def test_fir_windows_match_sliding_window_view(geometry):
+    # forward and VJP are bitwise the products with sliding_window_view's windows
+    b, t, n_taps, seed = geometry
+    r = np.random.default_rng(seed)
+    y, g = r.standard_normal((b, t, 2)), r.standard_normal((b, t, 2))
+    taps = r.standard_normal((b, n_taps)) + 1j * r.standard_normal((b, n_taps))
+
+    def windows(v, lead):
+        buf = np.zeros((b, t + n_taps - 1), dtype=np.complex128)
+        buf[:, lead:lead + t] = v[..., 0] + 1j * v[..., 1]
+        return sliding_window_view(buf, n_taps, axis=1)
+
+    out = cplx.fir(cplx.CplxNode(ad.leaf(y)), taps).z
+    want = (windows(y, n_taps - 1) @ taps[:, ::-1, None])[..., 0]
+    assert np.array_equal(out.value, np.stack([want.real, want.imag], axis=-1))
+    want = (windows(g, 0) @ taps.conj()[:, :, None])[..., 0]
+    assert np.array_equal(out.vjp(g)[0], np.stack([want.real, want.imag], axis=-1))
 
 
 # ---------------------------------------------------------------------------
