@@ -210,9 +210,25 @@ def safe_recip(a: Node) -> Node:
 
 
 def relu(a: Node) -> Node:
-    mask = a.value > 0.0
-    return record("relu", (a,), lambda x: np.where(mask, x, 0.0),
-                  lambda g: (np.where(mask, g, 0.0),))
+    """``max(x, 0)``; -0.0 maps to +0.0 and the gradient at 0 is 0.
+
+    Branch-free: an elementwise select on a data-dependent mask mispredicts
+    once per element. The VJP finds the mask in the output (y > 0 exactly
+    where x > 0), so nothing is stored for it.
+    """
+    y = np.maximum(a.value, 0.0)
+    y += 0.0    # -0.0 -> +0.0: which zero max(-0.0, 0.0) gives is unspecified
+    return record("relu", (a,), lambda x: y, lambda g: (_keep_where_positive(g, y),))
+
+
+def _keep_where_positive(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.where(y > 0, g, 0.0)`` bit for bit, for y >= +0.0: g's bits AND
+    -1 where y > 0 and AND 0 elsewhere. y's int64 bits b are >= 0 and are 0
+    only at +0.0, so ``-b >> 63`` is that -1/0 mask."""
+    bits = np.negative(y.view(np.int64))
+    bits >>= 63
+    bits &= np.asarray(g, dtype=np.float64).view(np.int64)
+    return bits.view(np.float64)
 
 
 def sigmoid(a: Node) -> Node:

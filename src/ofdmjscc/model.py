@@ -187,7 +187,8 @@ class JsccModel(Module):
 
     @property
     def rx_len(self) -> int:
-        """Received samples per image: the trailing shape of ``forward``'s noise."""
+        """Samples per image on air: the length of ``transmit``'s ``tx`` and
+        the trailing shape of ``receive``'s noise."""
         o = self.cfg.ofdm
         return o.n_s * o.l_fft if self.cfg.variant == "direct" else o.packet_len
 
@@ -219,50 +220,90 @@ class JsccModel(Module):
         feat = ad.concat([y_eq.z, hexp.z], axis=-1)
         return h_ref, cplx.add(y_eq, self.sub_eq(feat, train))
 
-    def forward(self, x: np.ndarray, taps: np.ndarray, sigma_sq: float,
-                clip_ratio: float = math.inf, train: bool = False,
-                noise: np.ndarray | None = None) -> tuple[Node, TxPacket]:
-        """Run the full chain on a batch of images.
-
-        ``taps`` is the per-image channel realization (B, n_taps); ``noise``
-        is the additive noise (complex, (B, ``rx_len``)), required when
-        ``sigma_sq > 0`` and rejected when ``sigma_sq == 0``; ``sigma_sq``
-        must be >= 0. Returns the reconstruction node and the transmitted
-        packet (for power/PAPR reporting).
-        """
+    def _check_images(self, who: str, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != (self.cfg.image_h, self.cfg.image_w,
                                           self.cfg.image_c):
-            raise ValueError(f"forward: expected (B, {self.cfg.image_h}, "
+            raise ValueError(f"{who}: expected (B, {self.cfg.image_h}, "
                              f"{self.cfg.image_w}, {self.cfg.image_c}), got {x.shape}")
+        return x
+
+    def _check_channel_inputs(self, who: str, b: int, sigma_sq: float,
+                              noise) -> np.ndarray | None:
+        """``noise`` as an array, once it fits ``sigma_sq`` and ``b`` packets."""
         if not sigma_sq >= 0.0:     # NaN too
-            raise ValueError(f"forward: sigma_sq must be >= 0, got {sigma_sq}")
+            raise ValueError(f"{who}: sigma_sq must be >= 0, got {sigma_sq}")
         if (noise is None) == (sigma_sq > 0.0):
-            raise ValueError(f"forward: noise must be given exactly when sigma_sq > 0 "
+            raise ValueError(f"{who}: noise must be given exactly when sigma_sq > 0 "
                              f"(sigma_sq={sigma_sq}, noise given: {noise is not None})")
+        if noise is None:
+            return None
+        noise = np.asarray(noise)
+        if not np.iscomplexobj(noise) or noise.shape != (b, self.rx_len):
+            raise ValueError(f"{who}: noise must be a complex array of shape "
+                             f"({b}, {self.rx_len}), got {noise.dtype} {noise.shape}")
+        return noise
+
+    def transmit(self, x: np.ndarray, clip_ratio: float = math.inf,
+                 train: bool = False) -> TxPacket:
+        """Encode a batch of images (B, H, W, C) and build what goes on air.
+
+        The ``direct`` variant sends the power-normalized encoder grid as raw
+        samples (nothing to clip); the OFDM variants assemble a packet (IDFT,
+        cyclic prefix, power normalization, clipping to ``clip_ratio``). The
+        packet depends on the images and ``clip_ratio`` only, not on the
+        channel, so one packet serves every channel realization of an image.
+        Its ``tx`` and ``preclip`` give PAPR after and before clipping.
+        """
+        x = self._check_images("transmit", x)
         grid = self.encode(ad.constant(x), train)
-        b = x.shape[0]
         cfg = self.cfg.ofdm
-
         if self.cfg.variant == "direct":   # no OFDM frame, so nothing to clip
-            tx, gain = normalize_power(cplx.reshape(grid, (b, cfg.n_s * cfg.l_fft)))
-            pkt = TxPacket(tx=tx, preclip=tx, gain=gain.value)
-        else:
-            pkt = assemble_packet(grid, self.pilots, cfg, clip_ratio)
+            tx, gain = normalize_power(cplx.reshape(grid, (x.shape[0], cfg.n_s * cfg.l_fft)))
+            return TxPacket(tx=tx, preclip=tx, gain=gain.value)
+        return assemble_packet(grid, self.pilots, cfg, clip_ratio)
 
-        rx = apply_channel(pkt.tx, taps, 0.0)
+    def receive(self, tx: CplxNode, taps: np.ndarray, sigma_sq: float,
+                train: bool = False, noise: np.ndarray | None = None) -> Node:
+        """Pass transmitted samples (B, ``rx_len``) through the channel and
+        decode them.
+
+        ``taps`` is the per-row channel realization (B, n_taps); ``noise`` is
+        the additive noise (complex, (B, ``rx_len``)), required when
+        ``sigma_sq > 0`` and rejected when ``sigma_sq == 0``; ``sigma_sq``
+        must be >= 0. The OFDM variants then run their front (learned for
+        ``implicit``, estimate + equalize for ``explicit``) before the
+        decoder. Returns the reconstruction node (B, H, W, C).
+        """
+        noise = self._check_channel_inputs("receive", tx.shape[0], sigma_sq, noise)
+        rx = apply_channel(tx, taps, 0.0)
         if noise is not None:
             rx = cplx.add(rx, cplx.const(noise))
 
         if self.cfg.variant == "direct":
             y = rx
         else:
-            pilot_rx, data_rx = disassemble_packet(rx, cfg)
+            pilot_rx, data_rx = disassemble_packet(rx, self.cfg.ofdm)
             if self.cfg.variant == "implicit":
                 y = self.front(pilot_rx, data_rx, self.pilots, train)
             else:
                 _, y = self.explicit_front(pilot_rx, data_rx, sigma_sq, train)
-        return self.dec(_flatten_cplx(y), train), pkt
+        return self.dec(_flatten_cplx(y), train)
+
+    def forward(self, x: np.ndarray, taps: np.ndarray, sigma_sq: float,
+                clip_ratio: float = math.inf, train: bool = False,
+                noise: np.ndarray | None = None) -> tuple[Node, TxPacket]:
+        """``transmit`` then ``receive``: the full chain on a batch of images.
+
+        Takes ``transmit``'s and ``receive``'s arguments and checks the
+        channel inputs before anything runs, so a rejected call leaves the
+        BatchNorm buffers as they were. Returns the reconstruction node and
+        the transmitted packet (for power/PAPR reporting).
+        """
+        x = self._check_images("forward", x)
+        self._check_channel_inputs("forward", x.shape[0], sigma_sq, noise)
+        pkt = self.transmit(x, clip_ratio, train)
+        return self.receive(pkt.tx, taps, sigma_sq, train, noise), pkt
 
 
 def build_model(cfg: ModelConfig, seed: int) -> JsccModel:

@@ -9,16 +9,21 @@ split, ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``:
                         draws, channel taps and noise, in that order
 * ``(3, i, r)``       — evaluation of image ``i``, realization ``r``
 
-Given the same seed and config, training is bitwise deterministic. Evaluation
-runs the (image, realization) pairs in chunks of the fixed ``EVAL_BATCH``, and
-every pair owns its stream, so its results do not depend on ``workers``.
+Given the same seed and config, training is bitwise deterministic.
+Evaluation transmits each image once, in chunks of the fixed ``EVAL_BATCH``
+images: the encoder and the OFDM transmitter see only the image and the clip
+ratio. It then runs the receiver on the (image, realization) pairs in chunks
+of ``EVAL_BATCH`` pairs, each pair on its image's packet. Every pair owns its
+stream and no chunk depends on ``workers``, so neither do the results.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,12 +31,13 @@ from . import autodiff as ad
 from .autodiff import Node
 from .channel import awgn, sample_channel, snr_to_sigma_sq
 from .config import TrainConfig
+from .cplx import CplxNode
 from .metrics import psnr, ssim_batch
 from .model import JsccModel
 from .ofdm import papr_db
 
 DIVERGENCE_LOSS = 1e8
-EVAL_BATCH = 16   # (image, realization) pairs per evaluation forward pass
+EVAL_BATCH = 16   # images per evaluation transmit pass, pairs per receive pass
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.5, 0.999, 1e-8
 ADAM_BLOCK = 32768  # elements per block of the Adam update (fits in L2 with its operands)
 
@@ -191,9 +197,17 @@ class EvalResult:
     per_image_psnr_db: np.ndarray
 
 
-def _eval_chunk(model, images, pairs, *, sigma_sq, clip_ratio, n_taps, gamma, seed):
-    """One graph-free forward over a chunk of (image, realization) pairs;
-    returns per-pair PSNR, SSIM and PAPR."""
+def _transmit_chunk(model, images, *, clip_ratio):
+    """One graph-free ``transmit`` of a chunk of images; returns the packets'
+    samples (B, ``rx_len``, 2) and their PAPR (B,)."""
+    with ad.no_grad():
+        tx = model.transmit(images, clip_ratio, train=False).tx
+    return tx.z.value, np.atleast_1d(papr_db(tx.value))
+
+
+def _receive_chunk(model, images, tx, pairs, *, sigma_sq, n_taps, gamma, seed):
+    """One graph-free ``receive`` over a chunk of (image, realization) pairs,
+    each pair on its image's row of ``tx``; returns per-pair PSNR and SSIM."""
     t_rx = model.rx_len
     taps = np.empty((len(pairs), n_taps), dtype=np.complex128)
     noise = np.empty((len(pairs), t_rx), dtype=np.complex128) if sigma_sq > 0.0 else None
@@ -202,13 +216,14 @@ def _eval_chunk(model, images, pairs, *, sigma_sq, clip_ratio, n_taps, gamma, se
         taps[k] = sample_channel(rng, n_taps, gamma)
         if noise is not None:
             noise[k] = awgn(rng, (t_rx,), sigma_sq)
-    ref = images[[i for i, _ in pairs]]
+    rows = [i for i, _ in pairs]
+    ref = images[rows]
     with ad.no_grad():
-        recon, pkt = model.forward(ref, taps, sigma_sq, clip_ratio,
-                                   train=False, noise=noise)
+        recon = model.receive(CplxNode(ad.constant(tx[rows])), taps, sigma_sq,
+                              train=False, noise=noise)
     rec = recon.value
     ps = np.array([psnr(ref[k], rec[k]) for k in range(len(pairs))])
-    return ps, ssim_batch(ref, rec), np.atleast_1d(papr_db(pkt.tx.value))
+    return ps, ssim_batch(ref, rec)
 
 
 def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
@@ -216,10 +231,13 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
              realizations: int = 5, seed: int = 0, workers: int = 1) -> EvalResult:
     """Average PSNR/SSIM over ``realizations`` fresh channels per image.
 
-    The (image, realization) pairs run in index order, ``EVAL_BATCH`` to a
-    forward pass; ``workers > 1`` spreads the chunks over threads. Results are
-    independent of ``workers``: each pair draws from its own RNG stream, the
-    chunks do not depend on ``workers`` and aggregation runs in index order.
+    The transmitter depends on the image and ``clip_ratio`` only, so each
+    image is transmitted once, ``EVAL_BATCH`` images to a pass. The receiver
+    then runs on the (image, realization) pairs in index order, ``EVAL_BATCH``
+    to a pass, each on its image's packet. ``workers > 1`` spreads the chunks
+    of both phases over threads. Results are independent of ``workers``: each
+    pair draws from its own RNG stream, the chunks do not depend on
+    ``workers`` and aggregation runs in index order.
     """
     if realizations < 1:
         raise ValueError("evaluate: realizations must be >= 1")
@@ -234,18 +252,17 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
     pairs = [(i, r) for i in range(n) for r in range(realizations)]
     chunks = [pairs[k:k + EVAL_BATCH] for k in range(0, len(pairs), EVAL_BATCH)]
 
-    def run(chunk):
-        return _eval_chunk(model, images, chunk, sigma_sq=sigma_sq, clip_ratio=clip_ratio,
-                           n_taps=n_taps, gamma=gamma, seed=seed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(chunk) for chunk in chunks]
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run_all = map if pool is None else pool.map
+        sent = list(run_all(partial(_transmit_chunk, model, clip_ratio=clip_ratio),
+                            [images[k:k + EVAL_BATCH] for k in range(0, n, EVAL_BATCH)]))
+        tx = np.concatenate([t for t, _ in sent])
+        results = list(run_all(partial(_receive_chunk, model, images, tx, sigma_sq=sigma_sq,
+                                       n_taps=n_taps, gamma=gamma, seed=seed), chunks))
     all_psnr = np.concatenate([r[0] for r in results]).reshape(n, realizations)
     all_ssim = np.concatenate([r[1] for r in results]).reshape(n, realizations)
-    all_papr = np.concatenate([r[2] for r in results])
+    # one PAPR per image, repeated per realization in pair order
+    all_papr = np.repeat(np.concatenate([p for _, p in sent]), realizations)
     return EvalResult(
         psnr_db=float(all_psnr.mean()),
         ssim=float(all_ssim.mean()),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 import ofdmjscc.autodiff as ad
@@ -46,6 +47,31 @@ def test_matmul_forward_batched(rng):
     out = ad.matmul(ad.leaf(a), ad.leaf(b))
     assert out.value.shape == (2, 3, 4, 6)
     assert np.allclose(out.value, a @ b, atol=1e-14)
+
+
+_signed_zeros_and_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(array_shapes(min_dims=1, max_dims=4, max_side=5).flatmap(lambda shape: st.tuples(
+    arrays(np.float64, shape, elements=_signed_zeros_and_floats),
+    arrays(np.float64, shape[:-1] + (2 * shape[-1],), elements=_signed_zeros_and_floats))))
+@example((np.array([[-0.0, 0.0, 5e-324, -1.0]]),
+          np.array([[-0.0, 7.0, 0.0, 7.0, -2.0, 7.0, -0.0, 7.0]])))
+def test_relu_is_bitwise_the_select_it_replaces(case):
+    # against the former forward and VJP: np.where on the mask x > 0
+    x, g_wide = case
+    g = g_wide[..., ::2]                     # every other entry: not contiguous
+    assert not g.flags.c_contiguous or g.size <= 1
+    node = ad.relu(ad.leaf(x))
+    assert np.array_equal(_bits(node.value), _bits(np.where(x > 0.0, x, 0.0)))
+    (gx,) = node.vjp(g)
+    assert np.array_equal(_bits(gx), _bits(np.where(x > 0.0, g, 0.0)))
 
 
 def test_conv2d_forward_against_loops(rng):

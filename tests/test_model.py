@@ -355,6 +355,47 @@ def test_forward_rejects_bad_noise_power(variant, sigma_sq, rng):
         model.forward(x, np.ones((2, 1), dtype=complex), sigma_sq)
 
 
+@pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
+@pytest.mark.parametrize("train", [True, False])
+def test_transmit_then_receive_is_forward(variant, train, rng):
+    # two copies of one model: forward on one, transmit then receive on the other
+    from ofdmjscc.training import mse_loss
+    whole, split = (build_model(tiny_model_cfg(variant), seed=5) for _ in range(2))
+    x = rng.random((4, 8, 8, 1))
+    taps = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / 2
+    noise = awgn(np.random.default_rng(1), (4, whole.rx_len), 0.1)
+    recon, pkt = whole.forward(x, taps, 0.1, 1.3, train=train, noise=noise)
+    pkt_s = split.transmit(x, 1.3, train=train)
+    recon_s = split.receive(pkt_s.tx, taps, 0.1, train=train, noise=noise)
+    assert np.array_equal(recon.value, recon_s.value)
+    for a, b in ((pkt.tx, pkt_s.tx), (pkt.preclip, pkt_s.preclip)):
+        assert np.array_equal(a.z.value, b.z.value)
+    assert np.array_equal(pkt.gain, pkt_s.gain)
+    for (n, a), (n_s, b) in zip(whole.buffers(), split.buffers()):
+        assert n == n_s and np.array_equal(a, b)
+    if train:
+        g, g_s = (ad.backward(mse_loss(r, x)) for r in (recon, recon_s))
+        for (n, p), (_, p_s) in zip(whole.params(), split.params()):
+            assert np.array_equal(g[p], g_s[p_s]), n
+
+
+@pytest.mark.parametrize("case", ["real", "wrong_length", "wrong_batch"])
+def test_noise_is_checked_where_it_enters(case, rng):
+    # real noise used to run as complex with a zero imaginary part, and a
+    # wrong shape failed inside the engine as "add: shape mismatch"
+    model = build_model(tiny_model_cfg("explicit"), seed=0)
+    x = rng.random((2, 8, 8, 1))
+    taps = np.ones((2, 1), dtype=complex)
+    t = model.rx_len
+    noise = {"real": np.zeros((2, t)), "wrong_length": np.zeros((2, t + 1), complex),
+             "wrong_batch": np.zeros((3, t), complex)}[case]
+    expected = rf"noise must be a complex array of shape \(2, {t}\)"
+    with pytest.raises(ValueError, match="forward: " + expected):
+        model.forward(x, taps, 0.1, noise=noise)
+    with pytest.raises(ValueError, match="receive: " + expected):
+        model.receive(model.transmit(x).tx, taps, 0.1, noise=noise)
+
+
 def test_forward_rejects_wrong_image_shape(rng):
     model = build_model(tiny_model_cfg("direct"), seed=0)
     with pytest.raises(ValueError):

@@ -8,10 +8,11 @@ import pytest
 
 import ofdmjscc.autodiff as ad
 import ofdmjscc.training as training
-from ofdmjscc.channel import sample_channel, snr_to_sigma_sq
+from ofdmjscc.channel import awgn, sample_channel, snr_to_sigma_sq
 from ofdmjscc.data import load_checkpoint, save_checkpoint
-from ofdmjscc.metrics import psnr
+from ofdmjscc.metrics import psnr, ssim_batch
 from ofdmjscc.model import build_model
+from ofdmjscc.ofdm import papr_db
 from ofdmjscc.training import (Adam, TrainConfig, evaluate, lr_at, mse_loss,
                                rng_stream, train)
 from conftest import tiny_model_cfg
@@ -322,6 +323,65 @@ def test_evaluate_is_worker_invariant():
     assert np.array_equal(serial.per_image_psnr_db, threaded.per_image_psnr_db)
     assert serial.channel_draws == 36
     assert serial.per_image_psnr_db.shape == (12,)
+
+
+def test_evaluate_is_worker_invariant_across_transmit_chunks():
+    # 20 images x 2 realizations: two transmit chunks (one partial) and three
+    # receive chunks of pairs
+    model = build_model(tiny_model_cfg("implicit"), seed=2)
+    imgs = _toy_images(20)
+    serial, threaded = (evaluate(model, imgs, snr_db=10.0, clip_ratio=1.2, n_taps=3,
+                                 realizations=2, seed=5, workers=w) for w in (1, 2))
+    assert serial.psnr_db == threaded.psnr_db
+    assert serial.ssim == threaded.ssim
+    assert serial.papr_p99_db == threaded.papr_p99_db
+    assert np.array_equal(serial.per_image_psnr_db, threaded.per_image_psnr_db)
+
+
+def test_evaluate_encodes_each_image_once(monkeypatch):
+    encoded = []
+    encode = training.JsccModel.encode
+
+    def counting_encode(self, x, train):
+        encoded.append(x.value.shape[0])
+        return encode(self, x, train)
+
+    monkeypatch.setattr(training.JsccModel, "encode", counting_encode)
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    res = evaluate(model, _toy_images(20), snr_db=10.0, n_taps=3, realizations=3, seed=1)
+    assert res.channel_draws == 60
+    assert encoded == [16, 4]      # n rows, not n * realizations
+
+
+@pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
+def test_evaluate_with_one_realization_is_the_per_chunk_forward(variant):
+    # reference: the full forward on each chunk of EVAL_BATCH (image, 0) pairs,
+    # drawing taps then noise from the pair's own stream (seed, 3, i, 0)
+    model = build_model(tiny_model_cfg(variant), seed=2)
+    imgs = _toy_images(20)
+    n_taps, gamma, seed, clip = 3, 4.0, 5, 1.2
+    sigma_sq = snr_to_sigma_sq(10.0)
+    res = evaluate(model, imgs, snr_db=10.0, clip_ratio=clip, n_taps=n_taps,
+                   gamma=gamma, realizations=1, seed=seed)
+    ps, ss, pa = [], [], []
+    for lo in range(0, len(imgs), training.EVAL_BATCH):
+        idx = list(range(lo, min(lo + training.EVAL_BATCH, len(imgs))))
+        taps = np.empty((len(idx), n_taps), dtype=np.complex128)
+        noise = np.empty((len(idx), model.rx_len), dtype=np.complex128)
+        for k, i in enumerate(idx):
+            rng = rng_stream(seed, 3, i, 0)
+            taps[k] = sample_channel(rng, n_taps, gamma)
+            noise[k] = awgn(rng, (model.rx_len,), sigma_sq)
+        ref = imgs[idx]
+        with ad.no_grad():
+            recon, pkt = model.forward(ref, taps, sigma_sq, clip, noise=noise)
+        ps += [psnr(ref[k], recon.value[k]) for k in range(len(idx))]
+        ss.append(ssim_batch(ref, recon.value))
+        pa.append(np.atleast_1d(papr_db(pkt.tx.value)))
+    assert res.psnr_db == float(np.mean(ps))
+    assert res.ssim == float(np.concatenate(ss).mean())
+    assert res.papr_p99_db == float(np.percentile(np.concatenate(pa), 99))
+    assert np.array_equal(res.per_image_psnr_db, np.array(ps))
 
 
 @pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
