@@ -30,6 +30,17 @@ def power_profile(n_taps: int, gamma: float) -> np.ndarray:
     return w / w.sum()
 
 
+def complex_normal(g: np.ndarray, var) -> np.ndarray:
+    """CN(0, ``var``) samples from a standard-normal block ``g`` of shape (..., 2).
+
+    ``g[..., 0]`` and ``g[..., 1]`` become the real and imaginary parts, each
+    scaled by sqrt(var / 2); ``var`` broadcasts against ``g.shape[:-1]``. Taps
+    and noise are both scaled here; the caller draws ``g``.
+    """
+    std = np.sqrt(np.asarray(var, dtype=np.float64) / 2.0)
+    return (std[..., None] * g).view(np.complex128)[..., 0]
+
+
 def sample_channel(rng: np.random.Generator, n_taps: int, gamma: float,
                    batch: int | None = None) -> np.ndarray:
     """Draw i.i.d. channel realizations h of shape (n_taps,) or (batch, n_taps).
@@ -39,9 +50,7 @@ def sample_channel(rng: np.random.Generator, n_taps: int, gamma: float,
     """
     prof = power_profile(n_taps, gamma)
     shape = (n_taps, 2) if batch is None else (batch, n_taps, 2)
-    g = rng.standard_normal(shape)
-    scale = np.sqrt(prof / 2.0)
-    return scale * (g[..., 0] + 1j * g[..., 1])
+    return complex_normal(rng.standard_normal(shape), prof)
 
 
 def awgn(rng: np.random.Generator, shape: tuple, sigma_sq: float) -> np.ndarray:
@@ -50,8 +59,7 @@ def awgn(rng: np.random.Generator, shape: tuple, sigma_sq: float) -> np.ndarray:
     Draw order is fixed: one standard-normal block of shape ``shape + (2,)``
     supplies the real/imaginary parts, scaled by sqrt(sigma_sq / 2).
     """
-    g = rng.standard_normal(tuple(shape) + (2,))
-    return (np.sqrt(sigma_sq / 2.0) * g).view(np.complex128)[..., 0]
+    return complex_normal(rng.standard_normal(tuple(shape) + (2,)), sigma_sq)
 
 
 def snr_to_sigma_sq(snr_db: float) -> float:

@@ -13,8 +13,12 @@ Given the same seed and config, training is bitwise deterministic.
 Evaluation transmits each image once, in chunks of the fixed ``EVAL_BATCH``
 images: the encoder and the OFDM transmitter see only the image and the clip
 ratio. It then runs the receiver on the (image, realization) pairs in chunks
-of ``EVAL_BATCH`` pairs, each pair on its image's packet. Every pair owns its
-stream and no chunk depends on ``workers``, so neither do the results.
+of ``EVAL_BATCH`` pairs, each pair on its image's packet. Within a chunk, each
+pair draws its standard normals (taps, then noise) from its own stream; the
+chunk then scales all taps and all noise at once and scores all pairs at
+once. The streams and their draw order are those of ``sample_channel`` then
+``awgn`` per pair. Every pair owns its stream and no chunk depends on
+``workers``, so neither do the results.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .channel import awgn, sample_channel, snr_to_sigma_sq
+from .channel import awgn, complex_normal, power_profile, sample_channel, snr_to_sigma_sq
 from .config import TrainConfig
 from .cplx import CplxNode
-from .metrics import psnr, ssim_batch
+from .metrics import psnr_batch, ssim_batch
 from .model import JsccModel
 from .ofdm import papr_db
 
@@ -207,23 +211,24 @@ def _transmit_chunk(model, images, *, clip_ratio):
 
 def _receive_chunk(model, images, tx, pairs, *, sigma_sq, n_taps, gamma, seed):
     """One graph-free ``receive`` over a chunk of (image, realization) pairs,
-    each pair on its image's row of ``tx``; returns per-pair PSNR and SSIM."""
-    t_rx = model.rx_len
-    taps = np.empty((len(pairs), n_taps), dtype=np.complex128)
-    noise = np.empty((len(pairs), t_rx), dtype=np.complex128) if sigma_sq > 0.0 else None
+    each pair on its image's row of ``tx``; returns per-pair PSNR and SSIM.
+    Every pair's normals land in its row of the chunk arrays, scaled at once."""
+    g_taps = np.empty((len(pairs), n_taps, 2))
+    g_noise = np.empty((len(pairs), model.rx_len, 2)) if sigma_sq > 0.0 else None
     for k, (i, r) in enumerate(pairs):
         rng = rng_stream(seed, 3, i, r)
-        taps[k] = sample_channel(rng, n_taps, gamma)
-        if noise is not None:
-            noise[k] = awgn(rng, (t_rx,), sigma_sq)
+        rng.standard_normal(out=g_taps[k])
+        if g_noise is not None:
+            rng.standard_normal(out=g_noise[k])
+    taps = complex_normal(g_taps, power_profile(n_taps, gamma))
+    noise = None if g_noise is None else complex_normal(g_noise, sigma_sq)
     rows = [i for i, _ in pairs]
     ref = images[rows]
     with ad.no_grad():
         recon = model.receive(CplxNode(ad.constant(tx[rows])), taps, sigma_sq,
                               train=False, noise=noise)
     rec = recon.value
-    ps = np.array([psnr(ref[k], rec[k]) for k in range(len(pairs))])
-    return ps, ssim_batch(ref, rec)
+    return psnr_batch(ref, rec), ssim_batch(ref, rec)
 
 
 def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,

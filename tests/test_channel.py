@@ -163,6 +163,17 @@ def test_awgn_draw_order_and_scale():
     assert np.array_equal(w.imag, math.sqrt(sigma_sq / 2.0) * g[..., 1])
 
 
+def test_sample_channel_draw_order_and_scale():
+    # one standard-normal block of (batch, n_taps, 2): tap l's real and
+    # imaginary parts, each scaled by sqrt(sigma_l^2 / 2)
+    h = sample_channel(np.random.default_rng(4), 5, 2.0, batch=3)
+    g = np.random.default_rng(4).standard_normal((3, 5, 2))
+    std = np.sqrt(power_profile(5, 2.0) / 2.0)
+    assert h.shape == (3, 5) and h.dtype == np.complex128
+    assert np.array_equal(h.real, std * g[..., 0])
+    assert np.array_equal(h.imag, std * g[..., 1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(ofdm_geometry(), st.data())
 def test_per_subcarrier_identity_on_random_geometries(geometry, data):

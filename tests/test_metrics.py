@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ofdmjscc.metrics import PSNR_CAP_DB, papr_ccdf, psnr, ssim, ssim_batch
+from ofdmjscc.metrics import (_SSIM_BLOCK, PSNR_CAP_DB, papr_ccdf, psnr, psnr_batch,
+                              ssim, ssim_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +40,30 @@ def test_psnr_rejects_non_finite_reconstruction(bad):
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4)), np.zeros((4, 5)))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 1), (21, 13, 3), (6, 6, 1), (9, 12, 3)])
+def test_psnr_batch_rows_equal_single_calls(rng, shape):
+    # sizes at and under the 11 px SSIM window, 1 and 3 channels; row 3 is an
+    # exact match, capped without a divide-by-zero warning (warnings are
+    # errors in this suite)
+    a = rng.random((7,) + shape)
+    b = np.clip(a + 0.1 * rng.standard_normal(a.shape), 0, 1)
+    b[3] = a[3]
+    got = psnr_batch(a, b)
+    assert got.shape == (7,)
+    assert np.array_equal(got, [psnr(a[j], b[j]) for j in range(7)])
+    assert got[3] == PSNR_CAP_DB
+    assert np.array_equal(psnr_batch(a[2:5], b[2:5]), got[2:5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_psnr_batch_rejects_a_non_finite_row(rng, bad):
+    a = rng.random((3, 4, 4, 1))
+    b = a.copy()
+    b[1, 2, 0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        psnr_batch(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +145,35 @@ def test_ssim_small_image_fallback(rng):
     assert -1.0 <= v < 1.0
 
 
-@pytest.mark.parametrize("shape", [(16, 16, 1), (21, 13, 3), (6, 6, 1), (9, 12, 3)])
+@pytest.mark.parametrize("shape", [(16, 16, 1), (21, 13, 3), (32, 32, 3), (6, 6, 1),
+                                   (9, 12, 3)])
 def test_ssim_batch_rows_equal_single_calls(rng, shape):
     # windowed (>= 11 px) and global-statistics fallback, 1 and 3 channels;
     # 21x13 gives 33 windows per image, which a BLAS product would block
-    # differently at different batch sizes
+    # differently at different batch sizes; at 32x32x3 the five maps of 7
+    # images span several blocks of _SSIM_BLOCK map elements
+    if shape == (32, 32, 3):
+        assert 5 * 32 * 32 * 3 * 7 > 2 * _SSIM_BLOCK
     a = rng.random((7,) + shape)
     b = np.clip(a + 0.1 * rng.standard_normal(a.shape), 0, 1)
     got = ssim_batch(a, b)
     assert got.shape == (7,)
     assert np.array_equal(got, [ssim(a[j], b[j]) for j in range(7)])
     assert np.array_equal(ssim_batch(a[2:5], b[2:5]), got[2:5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(16, 16, 1), (6, 6, 3)])
+def test_ssim_rejects_non_finite_input(rng, bad, shape):
+    # windowed and global-statistics paths; a NaN must not become a NaN score
+    # that an average hides
+    a = rng.random((2,) + shape)
+    b = a.copy()
+    b[1, 3, 4, -1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ssim_batch(a, b)
+    with pytest.raises(ValueError, match="non-finite"):
+        ssim(b[1], a[1])
 
 
 def test_ssim_shape_mismatch():

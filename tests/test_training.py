@@ -384,6 +384,44 @@ def test_evaluate_with_one_realization_is_the_per_chunk_forward(variant):
     assert np.array_equal(res.per_image_psnr_db, np.array(ps))
 
 
+@pytest.mark.parametrize("snr_db", [10.0, math.inf])
+def test_evaluate_channels_are_the_per_pair_draws(monkeypatch, snr_db):
+    # 20 images x 2 realizations: three receive chunks, the last partial. The
+    # taps and noise a chunk scales at once must equal, byte for byte,
+    # sample_channel then awgn on each pair's own stream (seed, 3, i, r);
+    # at infinite SNR (sigma_sq == 0) no noise is drawn
+    seen = []
+    receive = training.JsccModel.receive
+
+    def recording_receive(self, tx, taps, sigma_sq, train=False, noise=None):
+        seen.append((taps, noise))
+        return receive(self, tx, taps, sigma_sq, train, noise=noise)
+
+    monkeypatch.setattr(training.JsccModel, "receive", recording_receive)
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    n_taps, gamma, seed = 3, 4.0, 5
+    sigma_sq = snr_to_sigma_sq(snr_db)
+    evaluate(model, _toy_images(20), snr_db=snr_db, n_taps=n_taps, gamma=gamma,
+             realizations=2, seed=seed)
+    assert [len(t) for t, _ in seen] == [16, 16, 8]
+    pairs = [(i, r) for i in range(20) for r in range(2)]
+    want_taps, want_noise = [], []
+    for i, r in pairs:
+        rng = rng_stream(seed, 3, i, r)
+        want_taps.append(sample_channel(rng, n_taps, gamma))
+        if sigma_sq > 0.0:
+            want_noise.append(awgn(rng, (model.rx_len,), sigma_sq))
+    taps = np.concatenate([t for t, _ in seen])
+    assert taps.dtype == np.complex128
+    assert taps.tobytes() == np.stack(want_taps).tobytes()
+    if sigma_sq > 0.0:
+        noise = np.concatenate([w for _, w in seen])
+        assert noise.shape == (40, model.rx_len) and noise.dtype == np.complex128
+        assert noise.tobytes() == np.stack(want_noise).tobytes()
+    else:
+        assert all(w is None for _, w in seen)
+
+
 @pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
 def test_evaluate_matches_single_pair_forwards(variant):
     # reference: one batch-1 forward per (image, realization) pair, drawing
