@@ -26,7 +26,8 @@ def power_profile(n_taps: int, gamma: float) -> np.ndarray:
         raise ValueError(f"power_profile: n_taps must be >= 1, got {n_taps}")
     if not (gamma > 0):
         raise ValueError(f"power_profile: gamma must be > 0, got {gamma}")
-    w = np.exp(-np.arange(n_taps) / float(gamma))
+    with np.errstate(over="ignore"):    # a subnormal gamma: -inf, so exp gives 0
+        w = np.exp(-np.arange(n_taps) / float(gamma))
     return w / w.sum()
 
 

@@ -11,6 +11,8 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +20,12 @@ import numpy as np
 from . import __version__
 from . import cplx, gradcheck
 from .channel import apply_channel, freq_response, sample_channel, snr_to_sigma_sq
-from .config import FIELD_TYPES, ExperimentConfig, format_config, load_config
+from .config import FIELD_TYPES, ExperimentConfig, format_config, load_config, rng_stream
 from .data import CheckpointError, load_checkpoint, save_checkpoint, synth_dataset
 from .model import build_model
 from .ofdm import assemble_packet, disassemble_packet, make_pilots, papr_db
 from .receiver import equalize_mmse, estimate_channel_mmse
-from .training import evaluate, rng_stream, train
+from .training import evaluate, train
 
 TRAIN_LOSS_HEADER = ["epoch", "loss", "lr", "steps"]
 METRICS_HEADER = ["snr_db", "clip_ratio", "n_taps", "variant", "psnr_db", "ssim",
@@ -122,32 +124,35 @@ def _load_model(path):
 
 def cmd_eval(args) -> int:
     model, cfg = _load_model(args.checkpoint)
-    _, test_images = _dataset(cfg)
     seed = cfg.seed if args.seed is None else args.seed
     snrs = _sweep(args.snr_db, float, "--snr-db", cfg.snr_db)
     clips = _sweep(args.clip_ratio, float, "--clip-ratio", cfg.clip_ratio)
     taps_list = _sweep(args.taps, int, "--taps", cfg.n_taps)
     realizations = cfg.realizations if args.realizations is None else args.realizations
+
+    base = cfg.train_config()
+
+    def points(ratios):   # one TrainConfig per sweep point: building it runs its checks
+        return [replace(base, snr_db=snr, clip_ratio=rho, n_taps=n_taps)
+                for snr, rho, n_taps in product(snrs, ratios, taps_list)]
+
+    sweep = points(clips)
     if model.cfg.variant == "direct" and clips != [math.inf]:
         print(f"note: the direct variant never clips; clip_ratio "
               f"{','.join(map(_fmt, clips))} is evaluated and reported as inf",
               file=sys.stderr)
-        clips = [math.inf]
+        sweep = points([math.inf])
 
+    _, test_images = _dataset(cfg)
     rows = []
-    for snr in snrs:
-        for rho in clips:
-            for n_taps in taps_list:
-                res = evaluate(model, test_images, snr_db=snr, clip_ratio=rho,
-                               n_taps=n_taps, gamma=cfg.gamma,
-                               realizations=realizations, seed=seed,
-                               workers=args.workers)
-                rows.append([snr, rho, n_taps, model.cfg.variant, res.psnr_db,
-                             res.ssim, res.papr_p99_db, res.n_images,
-                             res.n_realizations])
-                print(f"snr={snr} rho={rho} taps={n_taps}: "
-                      f"psnr={res.psnr_db:.2f} dB ssim={res.ssim:.4f}",
-                      file=sys.stderr)
+    for pt in sweep:
+        res = evaluate(model, test_images, snr_db=pt.snr_db, clip_ratio=pt.clip_ratio,
+                       n_taps=pt.n_taps, gamma=pt.gamma, realizations=realizations,
+                       seed=seed, workers=args.workers)
+        rows.append([pt.snr_db, pt.clip_ratio, pt.n_taps, model.cfg.variant, res.psnr_db,
+                     res.ssim, res.papr_p99_db, res.n_images, res.n_realizations])
+        print(f"snr={pt.snr_db} rho={pt.clip_ratio} taps={pt.n_taps}: "
+              f"psnr={res.psnr_db:.2f} dB ssim={res.ssim:.4f}", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "metrics.csv", METRICS_HEADER, rows)

@@ -2,7 +2,8 @@
 
 ``OfdmConfig``, ``ModelConfig``, ``TrainConfig`` check types and ranges when built; the flat
 ``ExperimentConfig`` holds all their fields and the data ones. Unknown keys are rejected, flags
-override file values, and ``none`` / ``inf`` are accepted where the type allows.
+override file values, and ``none`` / ``inf`` are accepted where the type allows. ``rng_stream``
+splits the experiment seed into the package's random streams.
 """
 
 from __future__ import annotations
@@ -12,7 +13,22 @@ import math
 from dataclasses import dataclass, field, fields, make_dataclass
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 VARIANTS = ("direct", "implicit", "explicit")
+
+
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """The independent generator of stream ``key`` under ``seed``. Every source of
+    randomness is one of these streams:
+
+    * ``(1,)``       model parameter initialization (``build_model``)
+    * ``(2,)``       the training stream: epoch shuffles, per-batch SNR draws,
+                     channel taps and noise, in that order
+    * ``(3, i, r)``  evaluation of image ``i``, realization ``r``
+    * ``(4,)``       ``chain-demo``'s packet, channel and noise
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 @functools.cache

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import autodiff as ad
 from . import cplx
@@ -99,14 +100,10 @@ def finite_diff_check(loss_fn: Callable[[], Node], leaves: Sequence[Node], *,
     return GradCheckReport(name, int(rel_err.size), float(worst.max()), bool(ok.all()))
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def _draws(seed: int, *shapes) -> list[np.ndarray]:
     """One ``standard_normal`` draw of the summed size, split into ``shapes``."""
     sizes = [int(np.prod(s, dtype=int)) for s in shapes]
-    flat = _rng(seed).standard_normal(sum(sizes))
+    flat = default_rng(seed).standard_normal(sum(sizes))
     return [part.reshape(s) for part, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
 
@@ -121,7 +118,7 @@ def op_checks() -> list[tuple]:
         return lambda *xs: fn(*map(cplx.CplxNode, xs)).z
 
     def dsp(name, fn, seed, shape=None, point=None):
-        point = _rng(seed).standard_normal(shape + (2,)) if point is None else point
+        point = default_rng(seed).standard_normal(shape + (2,)) if point is None else point
         return name, packed(fn), [point], 100 + seed
 
     def conv(x, w, stride):
@@ -131,17 +128,17 @@ def op_checks() -> list[tuple]:
         return lambda x, gamma, beta: ad.batch_norm(x, gamma, beta, stats)[0]
 
     conv_shapes = ((2, 6, 5, 2), (3, 3, 2, 3))
-    bn_inputs = [_rng(33).standard_normal((4, 5, 5, 3)), _rng(31).uniform(0.5, 1.5, 3),
-                 _rng(32).standard_normal(3)]
-    fir_taps = sample_channel(_rng(26), 3, 2.0, batch=2)
-    target = _rng(44).uniform(0, 1, (2, 3, 3, 1))
+    bn_inputs = [default_rng(33).standard_normal((4, 5, 5, 3)),
+                 default_rng(31).uniform(0.5, 1.5, 3), default_rng(32).standard_normal(3)]
+    fir_taps = sample_channel(default_rng(26), 3, 2.0, batch=2)
+    target = default_rng(44).uniform(0, 1, (2, 3, 3, 1))
 
     ocfg = OfdmConfig(l_fft=8, l_cp=4, n_p=2, n_s=3, pilot_seed=7)
     pilots = make_pilots(ocfg.pilot_seed, ocfg.n_p, ocfg.l_fft)
-    taps = sample_channel(_rng(39), 3, 2.0, batch=2)
-    noise = cplx.CplxNode(ad.constant(0.1 * _rng(40).standard_normal((2, 14, 2))))
+    taps = sample_channel(default_rng(39), 3, 2.0, batch=2)
+    noise = cplx.CplxNode(ad.constant(0.1 * default_rng(40).standard_normal((2, 14, 2))))
     # components clearly below / above the clipping threshold 1
-    clip_point = _rng(37).standard_normal((2, 12, 2)) * 1.1
+    clip_point = default_rng(37).standard_normal((2, 12, 2)) * 1.1
     clip_point[np.abs(clip_point) < 0.15] += 0.3
 
     return [
@@ -149,26 +146,26 @@ def op_checks() -> list[tuple]:
         ("add", ad.add, _draws(3, (3, 4), (3, 4))),
         ("sub", ad.sub, _draws(3, (3, 4), (3, 4))),
         ("mul", ad.mul, _draws(3, (3, 4), (3, 4))),
-        ("add_const", lambda x: ad.add_const(x, 2.5), [_rng(5).standard_normal(10)]),
-        ("mul_const", lambda x: ad.mul_const(x, -1.7), [_rng(6).standard_normal(10)]),
-        ("sqrt", ad.sqrt, [_rng(7).uniform(0.5, 3.0, size=12)]),
-        ("recip", ad.recip, [_rng(8).uniform(0.5, 3.0, size=12)]),
-        ("safe_recip", ad.safe_recip, [_rng(9).uniform(0.4, 2.0, size=12)]),
+        ("add_const", lambda x: ad.add_const(x, 2.5), _draws(5, (10,))),
+        ("mul_const", lambda x: ad.mul_const(x, -1.7), _draws(6, (10,))),
+        ("sqrt", ad.sqrt, [default_rng(7).uniform(0.5, 3.0, size=12)]),
+        ("recip", ad.recip, [default_rng(8).uniform(0.5, 3.0, size=12)]),
+        ("safe_recip", ad.safe_recip, [default_rng(9).uniform(0.4, 2.0, size=12)]),
         ("relu", ad.relu,
-         [np.r_[_rng(10).uniform(0.2, 2.0, 6), _rng(11).uniform(-2.0, -0.2, 6)]]),
-        ("sigmoid", ad.sigmoid, [_rng(12).uniform(-4, 4, size=10)]),
+         [np.r_[default_rng(10).uniform(0.2, 2.0, 6), default_rng(11).uniform(-2.0, -0.2, 6)]]),
+        ("sigmoid", ad.sigmoid, [default_rng(12).uniform(-4, 4, size=10)]),
         # --- reductions / shape -------------------------------------------
-        ("sum_all", lambda x: ad.sum_all(ad.mul(x, x)), [_rng(13).standard_normal((3, 5))], None),
-        ("sum_axes", lambda x: ad.sum_axes(x, (0, 2)), [_rng(14).standard_normal((3, 4, 2))]),
-        ("reshape", lambda x: ad.reshape(x, (2, 6)), [_rng(15).standard_normal((3, 4))]),
+        ("sum_all", lambda x: ad.sum_all(ad.mul(x, x)), _draws(13, (3, 5)), None),
+        ("sum_axes", lambda x: ad.sum_axes(x, (0, 2)), _draws(14, (3, 4, 2))),
+        ("reshape", lambda x: ad.reshape(x, (2, 6)), _draws(15, (3, 4))),
         ("slice", lambda x: ad.slice_(x, (slice(1, 3), slice(None, None, 2))),
-         [_rng(16).standard_normal((4, 6))]),
+         _draws(16, (4, 6))),
         ("concat", lambda x: ad.concat([ad.slice_(x, (slice(0, 2),)), ad.slice_(x, (slice(2, 5),)),
                                         ad.slice_(x, (slice(5, None),))], axis=0),
-         [_rng(17).standard_normal((7, 3))]),
+         _draws(17, (7, 3))),
         ("tile", lambda x: ad.tile(ad.reshape(x, (3, 1, 4)), 1, 5),
-         [_rng(18).standard_normal((3, 4))]),
-        ("moveaxis", lambda x: ad.moveaxis(x, 1, -1), [_rng(46).standard_normal((2, 3, 4, 2))]),
+         _draws(18, (3, 4))),
+        ("moveaxis", lambda x: ad.moveaxis(x, 1, -1), _draws(46, (2, 3, 4, 2))),
         ("matmul", ad.matmul, _draws(19, (2, 3, 4), (4, 5))),
         # --- broadcast helpers ----------------------------------------------
         ("bias_last", ad.bias_last, _draws(20, (2, 3, 4), (4,))),
@@ -176,24 +173,24 @@ def op_checks() -> list[tuple]:
         # --- DSP / NN primitives --------------------------------------------
         # squared amplitudes straddling the threshold, away from the boundary
         ("clip_scale", lambda x: ad.mul(ad.clip_scale(x, 1.0), x),
-         [np.r_[_rng(24).uniform(0.1, 0.8, 6), _rng(25).uniform(1.3, 4.0, 6)]]),
+         [np.r_[default_rng(24).uniform(0.1, 0.8, 6), default_rng(25).uniform(1.3, 4.0, 6)]]),
         ("conv2d", lambda x, w: conv(x, w, 1), _draws(28, *conv_shapes)),
         ("conv2d_stride2", lambda x, w: conv(x, w, 2), _draws(29, *conv_shapes)),
         # kh*kw*Cout <= Cin: the kn2row layout
         ("conv2d_narrow", lambda x, w: conv(x, w, 1), _draws(54, (2, 5, 4, 9), (3, 3, 9, 1))),
         ("conv_up2x", ad.conv_up2x, _draws(30, (2, 3, 4, 2), (3, 3, 2, 3))),
         ("batchnorm_train", batchnorm(None), bn_inputs),
-        ("batchnorm_eval", batchnorm((_rng(52).standard_normal(3),
-                                      _rng(53).uniform(0.5, 1.5, 3))), bn_inputs),
+        ("batchnorm_eval", batchnorm((default_rng(52).standard_normal(3),
+                                      default_rng(53).uniform(0.5, 1.5, 3))), bn_inputs),
         # --- complex primitives: packed (..., 2) inputs -----------------------
         ("pack", lambda re, im: cplx.CplxNode(re, im).z, _draws(47, (3, 4), (3, 4))),
         ("conj_mul", packed(cplx.conj_mul), _draws(49, (3, 4, 2), (3, 4, 2))),
         ("mul_real", lambda a, s: cplx.mul_real(cplx.CplxNode(a), s).z,
          _draws(50, (3, 4, 2), (3, 4))),
-        ("abs2", lambda x: cplx.abs2(cplx.CplxNode(x)), [_rng(51).standard_normal((3, 8, 2))]),
-        ("dft", packed(cplx.dft), [_rng(34).standard_normal((3, 8, 2))]),
-        ("idft", packed(cplx.idft), [_rng(35).standard_normal((3, 8, 2))]),
-        ("fir", packed(lambda y: cplx.fir(y, fir_taps)), [_rng(27).standard_normal((2, 12, 2))]),
+        ("abs2", lambda x: cplx.abs2(cplx.CplxNode(x)), _draws(51, (3, 8, 2))),
+        ("dft", packed(cplx.dft), _draws(34, (3, 8, 2))),
+        ("idft", packed(cplx.idft), _draws(35, (3, 8, 2))),
+        ("fir", packed(lambda y: cplx.fir(y, fir_taps)), _draws(27, (2, 12, 2))),
         # --- DSP composites: a complex input is a packed (..., 2) point -------
         dsp("normalize_power", lambda y: normalize_power(y)[0], 36, (2, 10)),
         dsp("clip", lambda y: clip(y, 1.0), 37, point=clip_point),
@@ -208,7 +205,8 @@ def op_checks() -> list[tuple]:
         dsp("equalize_mmse", lambda x: equalize_mmse(
             cplx.slice_(x, (slice(None), slice(1, None))), cplx.slice_(x, (slice(None), 0)),
             snr_to_sigma_sq(8.0)), 43, (2, 1 + ocfg.n_s, ocfg.l_fft)),
-        ("mse_loss", lambda x: mse_loss(x, target), [_rng(45).uniform(0, 1, (2, 3, 3, 1))], None),
+        ("mse_loss", lambda x: mse_loss(x, target),
+         [default_rng(45).uniform(0, 1, (2, 3, 3, 1))], None),
     ]
 
 
@@ -221,7 +219,8 @@ def check_op(name: str, op: Callable[..., Node], inputs: Sequence[np.ndarray],
         out = op(*leaves)
         if seed is None:
             return out
-        return ad.sum_all(ad.mul(out, ad.constant(_rng(seed).standard_normal(out.value.shape))))
+        weights = default_rng(seed).standard_normal(out.value.shape)
+        return ad.sum_all(ad.mul(out, ad.constant(weights)))
 
     return finite_diff_check(loss_fn, leaves, step=DEFAULT_STEP, tol=DEFAULT_TOL, name=name)
 
@@ -238,7 +237,7 @@ def check_model_params(variant: str = "explicit") -> GradCheckReport:
     parameter tensor of a tiny model, through the complete train-mode chain
     (encode, OFDM, clipping, multipath channel, noise, receiver, decode)."""
     model = build_model(tiny_model_config(variant), seed=11)
-    r = _rng(1000)
+    r = default_rng(1000)
     x = r.uniform(0.1, 0.9, (2, 8, 8, 1))
     taps = sample_channel(r, 3, 2.0, batch=2)
     sigma_sq = snr_to_sigma_sq(10.0)

@@ -140,12 +140,3 @@ def ssim(ref: np.ndarray, rec: np.ndarray) -> float:
     if ref.ndim != 3:
         raise ValueError(f"ssim: expected (H, W) or (H, W, C), got {ref.shape}")
     return float(ssim_batch(ref[None], rec[None])[0])
-
-
-def papr_ccdf(papr_db_values: np.ndarray, thresholds_db: np.ndarray) -> np.ndarray:
-    """Empirical complementary CDF: fraction of packets with PAPR > threshold."""
-    v = np.asarray(papr_db_values, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        raise ValueError("papr_ccdf: no samples")
-    t = np.asarray(thresholds_db, dtype=np.float64)
-    return (v[None, :] > t.reshape(-1, 1)).mean(axis=1)

@@ -35,7 +35,7 @@ from . import cplx
 from .autodiff import Node
 from .cplx import CplxNode
 from .channel import apply_channel
-from .config import VARIANTS, ModelConfig  # noqa: F401 - VARIANTS is read as model.VARIANTS
+from .config import VARIANTS, ModelConfig, rng_stream  # noqa: F401 - read as model.VARIANTS
 from .nn import BatchNorm, Conv2d, Dense, Module
 from .ofdm import TxPacket, assemble_packet, disassemble_packet, make_pilots, normalize_power
 from .receiver import equalize_mmse, estimate_channel_mmse
@@ -307,6 +307,5 @@ class JsccModel(Module):
 
 
 def build_model(cfg: ModelConfig, seed: int) -> JsccModel:
-    """Construct a model with the documented init stream (seed, spawn_key=(1,))."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    return JsccModel(cfg, rng)
+    """Construct a model from the init stream ``rng_stream(seed, 1)``."""
+    return JsccModel(cfg, rng_stream(seed, 1))

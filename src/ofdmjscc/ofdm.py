@@ -92,15 +92,13 @@ def clip(y: CplxNode, rho: float) -> CplxNode:
     return cplx.mul_real(y, s)
 
 
-def papr_db(y: np.ndarray) -> np.ndarray | float:
+def papr_db(y: np.ndarray) -> np.ndarray:
     """Peak-to-average power ratio (dB) along the last axis of a complex array."""
-    y = np.asarray(y)
     p = np.abs(y) ** 2
     mean = p.mean(axis=-1)
     if np.any(mean == 0.0):
         raise ValueError("papr_db: zero-power signal")
-    out = 10.0 * np.log10(p.max(axis=-1) / mean)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    return 10.0 * np.log10(p.max(axis=-1) / mean)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,8 @@
 """Training and evaluation loops.
 
-Reproducibility contract: every source of randomness is an
-``np.random.Generator`` derived from the experiment seed by a documented
-split, ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``:
-
-* ``(1,)``            — model parameter initialization (see ``build_model``)
-* ``(2,)``            — the training stream: epoch shuffles, per-batch SNR
-                        draws, channel taps and noise, in that order
-* ``(3, i, r)``       — evaluation of image ``i``, realization ``r``
-
-Given the same seed and config, training is bitwise deterministic.
+Reproducibility contract: every source of randomness is a stream of
+``config.rng_stream``, the documented split of the experiment seed. Given the
+same seed and config, training is bitwise deterministic.
 Evaluation transmits each image once, in chunks of the fixed ``EVAL_BATCH``
 images: the encoder and the OFDM transmitter see only the image and the clip
 ratio. It then runs the receiver on the (image, realization) pairs in chunks
@@ -34,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .channel import awgn, complex_normal, power_profile, sample_channel, snr_to_sigma_sq
-from .config import TrainConfig
+from .config import ExperimentConfig, TrainConfig, rng_stream
 from .cplx import CplxNode
 from .metrics import psnr_batch, ssim_batch
 from .model import JsccModel
@@ -44,11 +37,6 @@ DIVERGENCE_LOSS = 1e8
 EVAL_BATCH = 16   # images per evaluation transmit pass, pairs per receive pass
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.5, 0.999, 1e-8
 ADAM_BLOCK = 32768  # elements per block of the Adam update (fits in L2 with its operands)
-
-
-def rng_stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed, key) per the documented split."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def mse_loss(pred: Node, target: np.ndarray) -> Node:
@@ -197,7 +185,6 @@ class EvalResult:
     papr_p99_db: float
     n_images: int
     n_realizations: int
-    channel_draws: int
     per_image_psnr_db: np.ndarray
 
 
@@ -206,7 +193,7 @@ def _transmit_chunk(model, images, *, clip_ratio):
     samples (B, ``rx_len``, 2) and their PAPR (B,)."""
     with ad.no_grad():
         tx = model.transmit(images, clip_ratio, train=False).tx
-    return tx.z.value, np.atleast_1d(papr_db(tx.value))
+    return tx.z.value, papr_db(tx.value)
 
 
 def _receive_chunk(model, images, tx, pairs, *, sigma_sq, n_taps, gamma, seed):
@@ -232,8 +219,10 @@ def _receive_chunk(model, images, tx, pairs, *, sigma_sq, n_taps, gamma, seed):
 
 
 def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
-             clip_ratio: float = math.inf, n_taps: int = 8, gamma: float = 4.0,
-             realizations: int = 5, seed: int = 0, workers: int = 1) -> EvalResult:
+             clip_ratio: float = TrainConfig.clip_ratio, n_taps: int = TrainConfig.n_taps,
+             gamma: float = TrainConfig.gamma,
+             realizations: int = ExperimentConfig.realizations,
+             seed: int = TrainConfig.seed, workers: int = 1) -> EvalResult:
     """Average PSNR/SSIM over ``realizations`` fresh channels per image.
 
     The transmitter depends on the image and ``clip_ratio`` only, so each
@@ -274,6 +263,5 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
         papr_p99_db=float(np.percentile(all_papr, 99)),
         n_images=n,
         n_realizations=realizations,
-        channel_draws=n * realizations,
         per_image_psnr_db=all_psnr.mean(axis=1),
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
 from ofdmjscc import cplx
+from ofdmjscc.config import FIELD_TYPES, VARIANTS, ExperimentConfig
 from ofdmjscc.gradcheck import tiny_model_config
 from ofdmjscc.ofdm import OfdmConfig
 
@@ -42,6 +44,42 @@ def ofdm_geometry(draw):
                      n_p=draw(st.integers(1, 3)), n_s=draw(st.integers(1, 4)),
                      pilot_seed=draw(st.integers(0, 99)))
     return cfg, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@st.composite
+def valid_configs(draw, **narrow):
+    """An ExperimentConfig with every field drawn by its annotated type (floats
+    include +-inf, optional floats None), then the fields with a narrower valid
+    range redrawn into it, so the built config passes every range check.
+
+    ``narrow`` maps a field to a strategy of valid values to draw it from
+    instead; ``l_cp``, ``n_taps`` and ``lr_decay_start`` are then drawn within
+    the bounds the fields they depend on set."""
+    values = {}
+    for name, types in FIELD_TYPES.items():
+        if float in types:
+            kind = st.floats(allow_nan=False)
+            values[name] = draw(st.none() | kind if type(None) in types else kind)
+        elif int in types:
+            values[name] = draw(st.integers(1, 2 ** 40))
+        else:
+            values[name] = draw(st.sampled_from(VARIANTS))
+    values["l_fft"] = draw(st.integers(2, 2 ** 40))
+    values["lr"] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    for name in ("gamma", "clip_ratio"):                 # > 0, inf allowed
+        values[name] = draw(st.floats(0.0, exclude_min=True))
+    values["snr_db"] = draw(st.floats(-math.inf, exclude_min=True))   # +inf: noiseless
+    pair = draw(st.none() | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=2, max_size=2))
+    values["snr_db_min"], values["snr_db_max"] = (None, None) if pair is None else sorted(pair)
+    values.update(image_h=4 * draw(st.integers(1, 64)), image_w=4 * draw(st.integers(1, 64)),
+                  image_c=draw(st.sampled_from([1, 3])))
+    values.update({name: draw(strategy) for name, strategy in narrow.items()})
+    values.update(
+        l_cp=draw(st.integers(0, values["l_fft"] - 1)),
+        n_taps=draw(st.integers(1, values["l_fft"])),
+        lr_decay_start=draw(st.integers(0, values["epochs"])))
+    return ExperimentConfig(**values)
 
 
 def rewrite_meta(path, edit):

@@ -24,7 +24,7 @@ from ofdmjscc.model import VARIANTS, ModelConfig, build_model
 from ofdmjscc.ofdm import OfdmConfig
 from ofdmjscc.training import TrainConfig
 
-from conftest import rewrite_meta
+from conftest import rewrite_meta, valid_configs
 
 TINY_CFG = """
 # minimal geometry for fast end-to-end runs
@@ -104,37 +104,6 @@ def test_format_config_round_trips():
     text = format_config(cfg)
     assert ExperimentConfig(**parse_config_text(text)) == cfg
     assert "snr_db_min=none" in text
-
-
-@st.composite
-def valid_configs(draw):
-    """An ExperimentConfig with every field drawn by its annotated type (floats
-    include +-inf, optional floats None), then the fields with a narrower valid
-    range redrawn into it, so the built config passes every range check."""
-    values = {}
-    for name, types in FIELD_TYPES.items():
-        if float in types:
-            kind = st.floats(allow_nan=False)
-            values[name] = draw(st.none() | kind if type(None) in types else kind)
-        elif int in types:
-            values[name] = draw(st.integers(1, 2 ** 40))
-        else:
-            values[name] = draw(st.sampled_from(VARIANTS))
-    values["l_fft"] = draw(st.integers(2, 2 ** 40))
-    values["lr"] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
-    for name in ("gamma", "clip_ratio"):                 # > 0, inf allowed
-        values[name] = draw(st.floats(0.0, exclude_min=True))
-    values["snr_db"] = draw(st.floats(-math.inf, exclude_min=True))   # +inf: noiseless
-    pair = draw(st.none() | st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                     min_size=2, max_size=2))
-    values["snr_db_min"], values["snr_db_max"] = (None, None) if pair is None else sorted(pair)
-    values.update(
-        image_h=4 * draw(st.integers(1, 64)), image_w=4 * draw(st.integers(1, 64)),
-        image_c=draw(st.sampled_from([1, 3])),
-        l_cp=draw(st.integers(0, values["l_fft"] - 1)),
-        n_taps=draw(st.integers(1, values["l_fft"])),
-        lr_decay_start=draw(st.integers(0, values["epochs"])))
-    return ExperimentConfig(**values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,15 +371,40 @@ def test_cli_chain_demo_rejects_what_train_rejects(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "eval", "chain-demo"])
 def test_cli_minus_inf_snr_rejected(tmp_path, tiny_cfg_file, capsys, command):
-    # train and chain-demo build a config from the flag, which rejects it; eval
-    # sweeps it, and the SNR conversion rejects it
+    # train and chain-demo build a config from the flag, eval a TrainConfig per sweep
+    # point; each rejects it with the config's own message
     source = (["--checkpoint", str(_train(tmp_path, tiny_cfg_file) / "checkpoint.jscc")]
               if command == "eval" else ["--config", str(tiny_cfg_file)])
     capsys.readouterr()
     rc = main([command, *source, "--out", str(tmp_path / "bad"), "--snr-db=-inf"])
     assert rc == 1
-    where = "snr_to_sigma_sq: " if command == "eval" else ""
-    assert f"error: {where}snr_db must be > -inf" in capsys.readouterr().err
+    assert "error: snr_db must be > -inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_cli_eval_direct_rejects_a_bad_clip_ratio(tmp_path, capsys, value):
+    # the direct variant reports every ratio as inf, but only after each is checked
+    cfg = tmp_path / "direct.cfg"
+    cfg.write_text(TINY_CFG.replace("variant = explicit", "variant = direct"))
+    run = _train(tmp_path, cfg)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.jscc"),
+               "--out", str(tmp_path / "ev"), "--clip-ratio", value])
+    assert rc == 1
+    assert "error: clip_ratio must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+
+def test_cli_eval_checks_every_sweep_point_first(tmp_path, tiny_cfg_file, capsys):
+    # a bad value late in the sweep stops eval before it evaluates the first point
+    run = _train(tmp_path, tiny_cfg_file)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.jscc"), "--out",
+               str(tmp_path / "ev"), "--snr-db", "0,10", "--clip-ratio", "inf,0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: clip_ratio must be > 0" in err and "snr=" not in err
+    assert not (tmp_path / "ev").exists()
 
 
 @pytest.mark.parametrize("value", [",", "10,,1"])

@@ -1,8 +1,10 @@
-"""Module layout: settings have one home, the names the benchmark traces exist, and
+"""Module layout: settings, defaults and the seed split have one home, the package
+exports only its documented entry points, the names the benchmark traces exist, and
 the committed benchmark summaries share the baseline's fields."""
 
 import ast
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -35,6 +37,29 @@ def test_settings_are_defined_once_in_config():
     for cls in (config.OfdmConfig, config.ModelConfig, config.TrainConfig):
         assert cls.__module__ == "ofdmjscc.config"
     assert not hasattr(ofdm, "field_types") and not hasattr(ofdm, "check_field_types")
+
+
+def test_evaluate_defaults_are_the_config_defaults():
+    params = inspect.signature(training.evaluate).parameters
+    train = {n: params[n].default for n in ("clip_ratio", "n_taps", "gamma", "seed")}
+    assert train == {n: getattr(config.TrainConfig(), n) for n in train}
+    assert params["realizations"].default == config.ExperimentConfig().realizations
+
+
+def test_the_seed_split_has_one_home():
+    # every module draws its streams through config.rng_stream
+    assert model.rng_stream is training.rng_stream is config.rng_stream
+    src = Path(config.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "SeedSequence" in p.read_text()] \
+        == ["config.py"]
+
+
+def test_package_exports_the_documented_entry_points():
+    # the README's library example; every other name is imported from its module
+    assert sorted(ofdmjscc.__all__) == ["ExperimentConfig", "build_model", "evaluate",
+                                        "synth_dataset", "train"]
+    for name in ofdmjscc.__all__:
+        assert callable(getattr(ofdmjscc, name))
 
 
 def test_benchmark_traced_names_resolve():

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdmjscc.metrics import (_SSIM_BLOCK, PSNR_CAP_DB, papr_ccdf, psnr, psnr_batch,
-                              ssim, ssim_batch)
+from ofdmjscc.metrics import _SSIM_BLOCK, PSNR_CAP_DB, psnr, psnr_batch, ssim, ssim_batch
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +178,3 @@ def test_ssim_rejects_non_finite_input(rng, bad, shape):
 def test_ssim_shape_mismatch():
     with pytest.raises(ValueError):
         ssim(np.zeros((12, 12)), np.zeros((12, 13)))
-
-
-# ---------------------------------------------------------------------------
-# PAPR CCDF
-# ---------------------------------------------------------------------------
-
-def test_papr_ccdf_exact_fractions():
-    vals = np.array([1.0, 2.0, 3.0, 4.0])
-    got = papr_ccdf(vals, np.array([0.0, 2.5, 5.0]))
-    assert np.array_equal(got, [1.0, 0.5, 0.0])
-
-
-def test_papr_ccdf_is_monotone_nonincreasing(rng):
-    vals = 10 * rng.random(500)
-    t = np.linspace(0, 12, 25)
-    c = papr_ccdf(vals, t)
-    assert np.all(np.diff(c) <= 0)
-    assert c.shape == t.shape
-
-
-def test_papr_ccdf_empty_rejected():
-    with pytest.raises(ValueError):
-        papr_ccdf(np.array([]), np.array([1.0]))

@@ -9,12 +9,12 @@ import pytest
 import ofdmjscc.autodiff as ad
 import ofdmjscc.training as training
 from ofdmjscc.channel import awgn, sample_channel, snr_to_sigma_sq
+from ofdmjscc.config import rng_stream
 from ofdmjscc.data import load_checkpoint, save_checkpoint
 from ofdmjscc.metrics import psnr, ssim_batch
 from ofdmjscc.model import build_model
 from ofdmjscc.ofdm import papr_db
-from ofdmjscc.training import (Adam, TrainConfig, evaluate, lr_at, mse_loss,
-                               rng_stream, train)
+from ofdmjscc.training import Adam, TrainConfig, evaluate, lr_at, mse_loss, train
 from conftest import tiny_model_cfg
 
 
@@ -321,7 +321,6 @@ def test_evaluate_is_worker_invariant():
     assert serial.ssim == threaded.ssim
     assert serial.papr_p99_db == threaded.papr_p99_db
     assert np.array_equal(serial.per_image_psnr_db, threaded.per_image_psnr_db)
-    assert serial.channel_draws == 36
     assert serial.per_image_psnr_db.shape == (12,)
 
 
@@ -348,8 +347,7 @@ def test_evaluate_encodes_each_image_once(monkeypatch):
 
     monkeypatch.setattr(training.JsccModel, "encode", counting_encode)
     model = build_model(tiny_model_cfg("explicit"), seed=2)
-    res = evaluate(model, _toy_images(20), snr_db=10.0, n_taps=3, realizations=3, seed=1)
-    assert res.channel_draws == 60
+    evaluate(model, _toy_images(20), snr_db=10.0, n_taps=3, realizations=3, seed=1)
     assert encoded == [16, 4]      # n rows, not n * realizations
 
 
@@ -377,7 +375,7 @@ def test_evaluate_with_one_realization_is_the_per_chunk_forward(variant):
             recon, pkt = model.forward(ref, taps, sigma_sq, clip, noise=noise)
         ps += [psnr(ref[k], recon.value[k]) for k in range(len(idx))]
         ss.append(ssim_batch(ref, recon.value))
-        pa.append(np.atleast_1d(papr_db(pkt.tx.value)))
+        pa.append(papr_db(pkt.tx.value))
     assert res.psnr_db == float(np.mean(ps))
     assert res.ssim == float(np.concatenate(ss).mean())
     assert res.papr_p99_db == float(np.percentile(np.concatenate(pa), 99))
