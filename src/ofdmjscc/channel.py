@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cplx
+from .config import SNR_DB_FLOOR
 from .cplx import CplxNode
 from .ofdm import P_S
 
@@ -66,8 +67,9 @@ def awgn(rng: np.random.Generator, shape: tuple, sigma_sq: float) -> np.ndarray:
 def snr_to_sigma_sq(snr_db: float) -> float:
     """Noise variance sigma^2 (total, both components) for a given SNR in dB
     relative to the normalized transmit power ``P_S``; ``inf`` is noiseless."""
-    if not snr_db > -np.inf:
-        raise ValueError(f"snr_to_sigma_sq: snr_db must be > -inf, got {snr_db}")
+    if not snr_db > SNR_DB_FLOOR:
+        raise ValueError(f"snr_to_sigma_sq: snr_db must be > -inf, and > {SNR_DB_FLOOR!r} "
+                         f"so that the noise variance is finite, got {snr_db}")
     return P_S * 10.0 ** (-float(snr_db) / 10.0)
 
 
@@ -83,15 +85,10 @@ def apply_channel(y: CplxNode, h: np.ndarray, sigma_sq: float,
                   rng: np.random.Generator | None = None) -> CplxNode:
     """Propagate a batch of signals: ``h * y + w`` (linear convolution + AWGN).
 
-    ``y`` has shape (B, T), ``h`` is a complex (B, n_taps) constant. Noise is
-    CN(0, sigma_sq) per sample, drawn by :func:`awgn`;
+    ``y`` has shape (B, T), ``h`` is a complex (B, n_taps <= T) constant; ``cplx.fir``
+    checks both. Noise is CN(0, sigma_sq) per sample, drawn by :func:`awgn`;
     ``sigma_sq = 0`` (noiseless) needs no generator.
     """
-    if y.ndim != 2:
-        raise ValueError(f"apply_channel: y must be (B, T), got {y.shape}")
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != y.shape[0]:
-        raise ValueError(f"apply_channel: taps {h.shape} do not match batch {y.shape}")
     if sigma_sq < 0:
         raise ValueError(f"apply_channel: sigma_sq must be >= 0, got {sigma_sq}")
     out = cplx.fir(y, h)

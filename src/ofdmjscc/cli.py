@@ -150,7 +150,7 @@ def cmd_eval(args) -> int:
                        n_taps=pt.n_taps, gamma=pt.gamma, realizations=realizations,
                        seed=seed, workers=args.workers)
         rows.append([pt.snr_db, pt.clip_ratio, pt.n_taps, model.cfg.variant, res.psnr_db,
-                     res.ssim, res.papr_p99_db, res.n_images, res.n_realizations])
+                     res.ssim, res.papr_p99_db, len(test_images), realizations])
         print(f"snr={pt.snr_db} rho={pt.clip_ratio} taps={pt.n_taps}: "
               f"psnr={res.psnr_db:.2f} dB ssim={res.ssim:.4f}", file=sys.stderr)
     out = Path(args.out)

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields, make_dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 VARIANTS = ("direct", "implicit", "explicit")
+SNR_DB_FLOOR = -10.0 * math.log10(sys.float_info.max)  # at or below: the noise variance overflows
+CLIP_RATIO_MIN = math.sqrt(sys.float_info.min)          # below: its square is not a normal float
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -134,10 +137,13 @@ class TrainConfig:
         if self.random_snr and not -math.inf < self.snr_db_min <= self.snr_db_max < math.inf:
             raise ValueError(f"need finite snr_db_min <= snr_db_max, got "
                              f"{self.snr_db_min}, {self.snr_db_max}")
-        if not self.snr_db > -math.inf:     # also rejects nan
-            raise ValueError(f"snr_db must be > -inf, got {self.snr_db}")
-        if not self.clip_ratio > 0:         # inf: no clipping
-            raise ValueError(f"clip_ratio must be > 0, got {self.clip_ratio}")
+        for name in ("snr_db", "snr_db_min"):      # also rejects nan; +inf: noiseless
+            if (v := getattr(self, name)) is not None and not v > SNR_DB_FLOOR:
+                raise ValueError(f"{name} must be > -inf, and > {SNR_DB_FLOOR!r} so that "
+                                 f"the noise variance is finite, got {v}")
+        if not self.clip_ratio >= CLIP_RATIO_MIN:   # inf: no clipping
+            raise ValueError(f"clip_ratio must be > 0, and >= {CLIP_RATIO_MIN!r} so that "
+                             f"its square is a normal float, got {self.clip_ratio}")
         if not self.gamma > 0:              # inf: a flat power profile
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.n_taps < 1:

@@ -3,15 +3,10 @@
 Reproducibility contract: every source of randomness is a stream of
 ``config.rng_stream``, the documented split of the experiment seed. Given the
 same seed and config, training is bitwise deterministic.
-Evaluation transmits each image once, in chunks of the fixed ``EVAL_BATCH``
-images: the encoder and the OFDM transmitter see only the image and the clip
-ratio. It then runs the receiver on the (image, realization) pairs in chunks
-of ``EVAL_BATCH`` pairs, each pair on its image's packet. Within a chunk, each
-pair draws its standard normals (taps, then noise) from its own stream; the
-chunk then scales all taps and all noise at once and scores all pairs at
-once. The streams and their draw order are those of ``sample_channel`` then
-``awgn`` per pair. Every pair owns its stream and no chunk depends on
-``workers``, so neither do the results.
+Evaluation runs one self-contained pass per chunk of ``EVAL_BATCH`` images
+(``_eval_chunk``). Each (image, realization) pair draws its taps, then its
+noise, from its own stream, as ``sample_channel`` then ``awgn`` would, and no
+chunk depends on ``workers``, so neither do the results.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from .model import JsccModel
 from .ofdm import papr_db
 
 DIVERGENCE_LOSS = 1e8
-EVAL_BATCH = 16   # images per evaluation transmit pass, pairs per receive pass
+EVAL_BATCH = 16   # images per evaluation chunk, pairs per receive pass
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.5, 0.999, 1e-8
 ADAM_BLOCK = 32768  # elements per block of the Adam update (fits in L2 with its operands)
 
@@ -183,39 +178,42 @@ class EvalResult:
     psnr_db: float
     ssim: float
     papr_p99_db: float
-    n_images: int
-    n_realizations: int
     per_image_psnr_db: np.ndarray
 
 
-def _transmit_chunk(model, images, *, clip_ratio):
-    """One graph-free ``transmit`` of a chunk of images; returns the packets'
-    samples (B, ``rx_len``, 2) and their PAPR (B,)."""
+def _eval_chunk(model, images, first, *, clip_ratio, sigma_sq, n_taps, gamma,
+                realizations, seed):
+    """Evaluate a chunk of images, image ``i`` being image ``first + i`` of the set.
+
+    One graph-free ``transmit`` of the chunk, then graph-free ``receive`` passes
+    over its (image, realization) pairs in index order, ``EVAL_BATCH`` pairs to a
+    pass, each pair on its image's packet. Pair (i, r) draws its taps, then its
+    noise, into its row of the pass arrays from stream (seed, 3, first + i, r);
+    the pass scales them at once. Returns per-pair PSNR and SSIM, each of shape
+    (images, ``realizations``), and the per-image PAPR.
+    """
     with ad.no_grad():
         tx = model.transmit(images, clip_ratio, train=False).tx
-    return tx.z.value, papr_db(tx.value)
-
-
-def _receive_chunk(model, images, tx, pairs, *, sigma_sq, n_taps, gamma, seed):
-    """One graph-free ``receive`` over a chunk of (image, realization) pairs,
-    each pair on its image's row of ``tx``; returns per-pair PSNR and SSIM.
-    Every pair's normals land in its row of the chunk arrays, scaled at once."""
-    g_taps = np.empty((len(pairs), n_taps, 2))
-    g_noise = np.empty((len(pairs), model.rx_len, 2)) if sigma_sq > 0.0 else None
-    for k, (i, r) in enumerate(pairs):
-        rng = rng_stream(seed, 3, i, r)
-        rng.standard_normal(out=g_taps[k])
-        if g_noise is not None:
-            rng.standard_normal(out=g_noise[k])
-    taps = complex_normal(g_taps, power_profile(n_taps, gamma))
-    noise = None if g_noise is None else complex_normal(g_noise, sigma_sq)
-    rows = [i for i, _ in pairs]
-    ref = images[rows]
-    with ad.no_grad():
-        recon = model.receive(CplxNode(ad.constant(tx[rows])), taps, sigma_sq,
-                              train=False, noise=noise)
-    rec = recon.value
-    return psnr_batch(ref, rec), ssim_batch(ref, rec)
+    packets, n_pairs = tx.z.value, len(images) * realizations
+    psnr, ssim = np.empty(n_pairs), np.empty(n_pairs)
+    for lo in range(0, n_pairs, EVAL_BATCH):
+        hi = min(lo + EVAL_BATCH, n_pairs)
+        g_taps = np.empty((hi - lo, n_taps, 2))
+        g_noise = np.empty((hi - lo, model.rx_len, 2)) if sigma_sq > 0.0 else None
+        for k, p in enumerate(range(lo, hi)):
+            rng = rng_stream(seed, 3, first + p // realizations, p % realizations)
+            rng.standard_normal(out=g_taps[k])
+            if g_noise is not None:
+                rng.standard_normal(out=g_noise[k])
+        taps = complex_normal(g_taps, power_profile(n_taps, gamma))
+        noise = None if g_noise is None else complex_normal(g_noise, sigma_sq)
+        rows = np.arange(lo, hi) // realizations
+        with ad.no_grad():
+            rec = model.receive(CplxNode(ad.constant(packets[rows])), taps, sigma_sq,
+                                train=False, noise=noise).value
+        ref = images[rows]
+        psnr[lo:hi], ssim[lo:hi] = psnr_batch(ref, rec), ssim_batch(ref, rec)
+    return psnr.reshape(-1, realizations), ssim.reshape(-1, realizations), papr_db(tx.value)
 
 
 def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
@@ -225,13 +223,12 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
              seed: int = TrainConfig.seed, workers: int = 1) -> EvalResult:
     """Average PSNR/SSIM over ``realizations`` fresh channels per image.
 
-    The transmitter depends on the image and ``clip_ratio`` only, so each
-    image is transmitted once, ``EVAL_BATCH`` images to a pass. The receiver
-    then runs on the (image, realization) pairs in index order, ``EVAL_BATCH``
-    to a pass, each on its image's packet. ``workers > 1`` spreads the chunks
-    of both phases over threads. Results are independent of ``workers``: each
-    pair draws from its own RNG stream, the chunks do not depend on
-    ``workers`` and aggregation runs in index order.
+    The transmitter depends on the image and ``clip_ratio`` only, so each chunk
+    of ``EVAL_BATCH`` images is transmitted once; its (image, realization) pairs
+    are then received ``EVAL_BATCH`` to a pass, each on its image's packet.
+    ``workers > 1`` spreads the image chunks over threads. Results are
+    independent of ``workers``: each pair draws from its own RNG stream, the
+    chunks do not depend on ``workers`` and aggregation runs in index order.
     """
     if realizations < 1:
         raise ValueError("evaluate: realizations must be >= 1")
@@ -242,26 +239,18 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
     n = images.shape[0]
     if n < 1:
         raise ValueError("evaluate: empty image set")
-    sigma_sq = snr_to_sigma_sq(snr_db)
-    pairs = [(i, r) for i in range(n) for r in range(realizations)]
-    chunks = [pairs[k:k + EVAL_BATCH] for k in range(0, len(pairs), EVAL_BATCH)]
-
+    firsts = range(0, n, EVAL_BATCH)
+    run_chunk = partial(_eval_chunk, model, clip_ratio=clip_ratio,
+                        sigma_sq=snr_to_sigma_sq(snr_db), n_taps=n_taps, gamma=gamma,
+                        realizations=realizations, seed=seed)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run_all = map if pool is None else pool.map
-        sent = list(run_all(partial(_transmit_chunk, model, clip_ratio=clip_ratio),
-                            [images[k:k + EVAL_BATCH] for k in range(0, n, EVAL_BATCH)]))
-        tx = np.concatenate([t for t, _ in sent])
-        results = list(run_all(partial(_receive_chunk, model, images, tx, sigma_sq=sigma_sq,
-                                       n_taps=n_taps, gamma=gamma, seed=seed), chunks))
-    all_psnr = np.concatenate([r[0] for r in results]).reshape(n, realizations)
-    all_ssim = np.concatenate([r[1] for r in results]).reshape(n, realizations)
-    # one PAPR per image, repeated per realization in pair order
-    all_papr = np.repeat(np.concatenate([p for _, p in sent]), realizations)
+        results = list((map if pool is None else pool.map)(
+            run_chunk, [images[k:k + EVAL_BATCH] for k in firsts], firsts))
+    all_psnr, all_ssim, papr = (np.concatenate(parts) for parts in zip(*results))
     return EvalResult(
         psnr_db=float(all_psnr.mean()),
         ssim=float(all_ssim.mean()),
-        papr_p99_db=float(np.percentile(all_papr, 99)),
-        n_images=n,
-        n_realizations=realizations,
+        # one PAPR per image, repeated per realization in pair order
+        papr_p99_db=float(np.percentile(np.repeat(papr, realizations), 99)),
         per_image_psnr_db=all_psnr.mean(axis=1),
     )

@@ -1,5 +1,4 @@
 import json
-import math
 import struct
 
 import numpy as np
@@ -8,7 +7,8 @@ from hypothesis import strategies as st
 
 import ofdmjscc.autodiff as ad
 from ofdmjscc import cplx
-from ofdmjscc.config import FIELD_TYPES, VARIANTS, ExperimentConfig
+from ofdmjscc.config import (CLIP_RATIO_MIN, FIELD_TYPES, SNR_DB_FLOOR, VARIANTS,
+                             ExperimentConfig)
 from ofdmjscc.gradcheck import tiny_model_config
 from ofdmjscc.ofdm import OfdmConfig
 
@@ -66,11 +66,11 @@ def valid_configs(draw, **narrow):
             values[name] = draw(st.sampled_from(VARIANTS))
     values["l_fft"] = draw(st.integers(2, 2 ** 40))
     values["lr"] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
-    for name in ("gamma", "clip_ratio"):                 # > 0, inf allowed
-        values[name] = draw(st.floats(0.0, exclude_min=True))
-    values["snr_db"] = draw(st.floats(-math.inf, exclude_min=True))   # +inf: noiseless
-    pair = draw(st.none() | st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                     min_size=2, max_size=2))
+    values["gamma"] = draw(st.floats(0.0, exclude_min=True))          # > 0, inf allowed
+    values["clip_ratio"] = draw(st.floats(CLIP_RATIO_MIN))            # inf: no clipping
+    values["snr_db"] = draw(st.floats(SNR_DB_FLOOR, exclude_min=True))   # +inf: noiseless
+    pair = draw(st.none() | st.lists(st.floats(SNR_DB_FLOOR, exclude_min=True,
+                                               allow_infinity=False), min_size=2, max_size=2))
     values["snr_db_min"], values["snr_db_max"] = (None, None) if pair is None else sorted(pair)
     values.update(image_h=4 * draw(st.integers(1, 64)), image_w=4 * draw(st.integers(1, 64)),
                   image_c=draw(st.sampled_from([1, 3])))

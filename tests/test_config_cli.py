@@ -381,6 +381,25 @@ def test_cli_minus_inf_snr_rejected(tmp_path, tiny_cfg_file, capsys, command):
     assert "error: snr_db must be > -inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--snr-db=-4000", "snr_db must be > -inf, and > -3082.54"),
+    ("--clip-ratio=1e-300", "clip_ratio must be > 0, and >= 1.49")], ids=["snr_db", "clip_ratio"])
+@pytest.mark.parametrize("command", ["train", "eval", "chain-demo"])
+def test_cli_rejects_values_past_the_float_range(tmp_path, tiny_cfg_file, capsys, command,
+                                                 flag, message):
+    # at -4000 dB the noise variance overflows a float, and 1e-300 squared is not
+    # a normal float; each is rejected, naming the field, before any epoch or point
+    source = (["--checkpoint", str(_train(tmp_path, tiny_cfg_file) / "checkpoint.jscc")]
+              if command == "eval" else ["--config", str(tiny_cfg_file)])
+    capsys.readouterr()
+    rc = main([command, *source, "--out", str(tmp_path / "bad"), flag])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "epoch" not in err and "snr=" not in err
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan"])
 def test_cli_eval_direct_rejects_a_bad_clip_ratio(tmp_path, capsys, value):
     # the direct variant reports every ratio as inf, but only after each is checked

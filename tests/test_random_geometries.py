@@ -110,7 +110,7 @@ def test_no_grad_forward_is_the_graph_forward(data, cfg, train):
 @PROPERTY
 @given(cfg=TINY, n_images=st.integers(1, 20))
 def test_evaluate_does_not_depend_on_workers(cfg, n_images):
-    # up to 20 images x 3 realizations: up to two transmit and four receive chunks
+    # up to 20 images x 3 realizations: up to two image chunks and four receive passes
     model, = _models(cfg, 1)
     images = np.random.default_rng(cfg.seed).random(
         (n_images, cfg.image_h, cfg.image_w, cfg.image_c))

@@ -10,8 +10,9 @@ import ofdmjscc.autodiff as ad
 import ofdmjscc.training as training
 from ofdmjscc.channel import awgn, sample_channel, snr_to_sigma_sq
 from ofdmjscc.config import rng_stream
+from ofdmjscc.cplx import CplxNode
 from ofdmjscc.data import load_checkpoint, save_checkpoint
-from ofdmjscc.metrics import psnr, ssim_batch
+from ofdmjscc.metrics import psnr, psnr_batch, ssim_batch
 from ofdmjscc.model import build_model
 from ofdmjscc.ofdm import papr_db
 from ofdmjscc.training import Adam, TrainConfig, evaluate, lr_at, mse_loss, train
@@ -325,8 +326,8 @@ def test_evaluate_is_worker_invariant():
 
 
 def test_evaluate_is_worker_invariant_across_transmit_chunks():
-    # 20 images x 2 realizations: two transmit chunks (one partial) and three
-    # receive chunks of pairs
+    # 20 images x 2 realizations: two image chunks (one partial) and three
+    # receive passes of pairs
     model = build_model(tiny_model_cfg("implicit"), seed=2)
     imgs = _toy_images(20)
     serial, threaded = (evaluate(model, imgs, snr_db=10.0, clip_ratio=1.2, n_taps=3,
@@ -384,8 +385,8 @@ def test_evaluate_with_one_realization_is_the_per_chunk_forward(variant):
 
 @pytest.mark.parametrize("snr_db", [10.0, math.inf])
 def test_evaluate_channels_are_the_per_pair_draws(monkeypatch, snr_db):
-    # 20 images x 2 realizations: three receive chunks, the last partial. The
-    # taps and noise a chunk scales at once must equal, byte for byte,
+    # 20 images x 2 realizations: three receive passes, the last partial. The
+    # taps and noise a pass scales at once must equal, byte for byte,
     # sample_channel then awgn on each pair's own stream (seed, 3, i, r);
     # at infinite SNR (sigma_sq == 0) no noise is drawn
     seen = []
@@ -418,6 +419,61 @@ def test_evaluate_channels_are_the_per_pair_draws(monkeypatch, snr_db):
         assert noise.tobytes() == np.stack(want_noise).tobytes()
     else:
         assert all(w is None for _, w in seen)
+
+
+def _two_phase_evaluate(model, imgs, *, snr_db, clip_ratio, n_taps, gamma, realizations,
+                        seed):
+    # the chunk layout evaluate must keep, as two separate phases: every image
+    # transmitted once, EVAL_BATCH images to a pass, into one packet array; then
+    # the (image, realization) pairs received EVAL_BATCH to a pass on those
+    # packet rows, each pair drawing taps then noise from (seed, 3, i, r)
+    batch, sigma_sq = training.EVAL_BATCH, snr_to_sigma_sq(snr_db)
+    packets, papr = [], []
+    for lo in range(0, len(imgs), batch):
+        with ad.no_grad():
+            tx = model.transmit(imgs[lo:lo + batch], clip_ratio, train=False).tx
+        packets.append(tx.z.value)
+        papr.append(papr_db(tx.value))
+    packets = np.concatenate(packets)
+    pairs = [(i, r) for i in range(len(imgs)) for r in range(realizations)]
+    ps, ss = [], []
+    for lo in range(0, len(pairs), batch):
+        chunk = pairs[lo:lo + batch]
+        taps = np.empty((len(chunk), n_taps), dtype=np.complex128)
+        noise = np.empty((len(chunk), model.rx_len), dtype=np.complex128)
+        for k, (i, r) in enumerate(chunk):
+            rng = rng_stream(seed, 3, i, r)
+            taps[k] = sample_channel(rng, n_taps, gamma)
+            if sigma_sq > 0.0:
+                noise[k] = awgn(rng, (model.rx_len,), sigma_sq)
+        rows = [i for i, _ in chunk]
+        with ad.no_grad():
+            rec = model.receive(CplxNode(ad.constant(packets[rows])), taps, sigma_sq,
+                                train=False, noise=noise if sigma_sq > 0.0 else None).value
+        ps.append(psnr_batch(imgs[rows], rec))
+        ss.append(ssim_batch(imgs[rows], rec))
+    all_psnr = np.concatenate(ps).reshape(len(imgs), realizations)
+    all_ssim = np.concatenate(ss).reshape(len(imgs), realizations)
+    return (float(all_psnr.mean()), float(all_ssim.mean()),
+            float(np.percentile(np.repeat(np.concatenate(papr), realizations), 99)),
+            all_psnr.mean(axis=1))
+
+
+@pytest.mark.parametrize("realizations, snr_db, clip_ratio", [
+    (3, 10.0, math.inf), (3, 10.0, 1.2), (5, 10.0, math.inf), (5, 10.0, 1.2),
+    (5, math.inf, 1.2)])
+def test_evaluate_keeps_the_two_phase_chunk_layout(realizations, snr_db, clip_ratio):
+    # 37 images: three image chunks, the last partial, and 7 or 12 receive
+    # passes; bit for bit, at either worker count
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    imgs = _toy_images(37)
+    kw = dict(snr_db=snr_db, clip_ratio=clip_ratio, n_taps=3, gamma=4.0,
+              realizations=realizations, seed=5)
+    want = _two_phase_evaluate(model, imgs, **kw)
+    for workers in (1, 2):
+        res = evaluate(model, imgs, workers=workers, **kw)
+        assert (res.psnr_db, res.ssim, res.papr_p99_db) == want[:3]
+        assert res.per_image_psnr_db.tobytes() == want[3].tobytes()
 
 
 @pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
