@@ -617,13 +617,19 @@ def batch_norm(x: Node, gamma: Node, beta: Node,
             var = np.sum(xc * xc, axis=red) * (1.0 / n)
         inv = 1.0 / np.sqrt(var + BN_EPS)
         scale = gv * inv
-        return xc * scale + bv
+        return np.add(np.multiply(xc, scale, out=xc), bv, out=xc)    # xc * scale + bv
 
     def bwd(g):
         xc = x.value + -mean        # the forward's expression: x is kept anyway, xc is not
         sg, sgx = np.sum(g, axis=red), np.sum(g * xc, axis=red)
-        gx = scale * (g - (sg + xc * (inv * inv * sgx)) * (1.0 / n)) if train else g * scale
-        return gx, sgx * inv, sg
+        if not train:
+            return g * scale, sgx * inv, sg
+        # scale * (g - (sg + xc * (inv * inv * sgx)) * (1 / n)), each step written into xc
+        np.multiply(xc, inv * inv * sgx, out=xc)
+        np.add(sg, xc, out=xc)
+        np.multiply(xc, 1.0 / n, out=xc)
+        np.subtract(g, xc, out=xc)
+        return np.multiply(scale, xc, out=xc), sgx * inv, sg
 
     out = record("batch_norm", (x, gamma, beta), fwd, bwd)   # sets mean and var
     return out, mean, var

@@ -12,6 +12,7 @@ chunk depends on ``workers``, so neither do the results.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ DIVERGENCE_LOSS = 1e8
 EVAL_BATCH = 16   # images per evaluation chunk, pairs per receive pass
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.5, 0.999, 1e-8
 ADAM_BLOCK = 32768  # elements per block of the Adam update (fits in L2 with its operands)
+ADAM_GRAD_MAX = math.sqrt(sys.float_info.max)   # the largest |g| whose square is finite
 
 
 def mse_loss(pred: Node, target: np.ndarray) -> Node:
@@ -46,11 +48,16 @@ def mse_loss(pred: Node, target: np.ndarray) -> Node:
 class Adam:
     """ADAM with betas ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` outside the root.
 
-    ``step`` updates the moments in place and computes each parameter's new
-    value in blocks of ``ADAM_BLOCK`` elements through two scratch buffers,
-    so the temporaries of one block stay in cache. Every element goes through
-    the same expressions in the same order as the unblocked update, so the
-    result does not depend on the block size.
+    The update is Kingma & Ba's reordered form (arXiv 1412.6980, section 2):
+    the bias corrections fold into two per-step scalars, alpha_t = lr *
+    sqrt(1 - b2^t) / (1 - b1^t) and eps_t = eps * sqrt(1 - b2^t), and each
+    parameter moves by alpha_t * m / (sqrt(v) + eps_t). That equals
+    lr * m_hat / (sqrt(v_hat) + eps) up to rounding. ``step`` updates the
+    moments in place and computes each parameter's new value in blocks of
+    ``ADAM_BLOCK`` elements through one float and one bool scratch buffer, so
+    the temporaries of one block stay in cache. Every element goes through the
+    same expressions in the same order as the unblocked update, so the result
+    does not depend on the block size.
     """
 
     def __init__(self, params: list[tuple[str, Node]]):
@@ -58,7 +65,7 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros(p.value.shape) for _, p in self.params]
         self.v = [np.zeros(p.value.shape) for _, p in self.params]
-        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK, dtype=bool))
 
     def step(self, grads: dict[Node, np.ndarray], lr: float) -> None:
         # check every gradient before anything moves: a rejected step changes nothing
@@ -67,15 +74,18 @@ class Adam:
                 # a parameter the loss cannot reach is a wiring bug, not a no-op
                 raise KeyError(f"Adam: no gradient for {name}")
             g = grads[node]
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"Adam: non-finite gradient for {name}")
             if g.shape != node.value.shape:
                 raise ValueError(f"Adam: gradient for {name} has shape {g.shape}, "
                                  f"parameter has {node.value.shape}")
+            # false for NaN too; past the root of the float range g * g overflows v
+            if g.size and not (-ADAM_GRAD_MAX <= g.min() and g.max() <= ADAM_GRAD_MAX):
+                raise FloatingPointError(f"Adam: non-finite gradient for {name}, or one past "
+                                         f"{ADAM_GRAD_MAX:.4g}, whose square overflows")
         self.step_count += 1
-        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-        c1 = 1.0 - b1 ** self.step_count
-        c2 = 1.0 - b2 ** self.step_count
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        root_c2 = math.sqrt(1.0 - b2 ** self.step_count)
+        alpha = lr * root_c2 / (1.0 - b1 ** self.step_count)
+        eps = ADAM_EPS * root_c2
         for i, (name, node) in enumerate(self.params):
             g, m, v = grads[node].reshape(-1), self.m[i].reshape(-1), self.v[i].reshape(-1)
             p = node.value.reshape(-1)
@@ -83,7 +93,7 @@ class Adam:
             for lo in range(0, p.size, ADAM_BLOCK):
                 hi = min(lo + ADAM_BLOCK, p.size)
                 gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-                a, b = (t[:hi - lo] for t in self._scratch)
+                a, ok = (t[:hi - lo] for t in self._scratch)
                 # m = b1 * m + (1 - b1) * g
                 np.multiply(mb, b1, out=mb)
                 np.add(mb, np.multiply(gb, 1 - b1, out=a), out=mb)
@@ -91,11 +101,11 @@ class Adam:
                 np.multiply(vb, b2, out=vb)
                 np.multiply(np.multiply(gb, gb, out=a), 1 - b2, out=a)
                 np.add(vb, a, out=vb)
-                # new = p - lr * (m / c1) / (sqrt(v / c2) + eps)
-                np.multiply(np.divide(mb, c1, out=a), lr, out=a)
-                np.add(np.sqrt(np.divide(vb, c2, out=b), out=b), eps, out=b)
-                np.subtract(p[lo:hi], np.divide(a, b, out=a), out=new[lo:hi])
-                if not np.all(np.isfinite(new[lo:hi])):
+                # new = p - m / (sqrt(v) + eps_t) * alpha_t
+                np.add(np.sqrt(vb, out=a), eps, out=a)
+                np.multiply(np.divide(mb, a, out=a), alpha, out=a)
+                np.subtract(p[lo:hi], a, out=new[lo:hi])
+                if not np.isfinite(new[lo:hi], out=ok).all():
                     raise FloatingPointError(f"Adam: non-finite value for {name}")
             new = new.reshape(node.value.shape)
             new.setflags(write=False)

@@ -157,6 +157,41 @@ def test_batch_norm_matches_composite(lead, channels, train, zero_gamma, seed):
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
+def _batch_norm_expressions(x, gamma, beta, stats, g):
+    """``batch_norm``'s forward and VJP as whole-array expressions, each
+    temporary a fresh array: the same arithmetic in the same order."""
+    red = tuple(range(x.ndim - 1))
+    n = x.size // x.shape[-1]
+    mean, var = stats or (np.sum(x, axis=red) * (1.0 / n), None)
+    xc = x + -mean
+    if stats is None:
+        var = np.sum(xc * xc, axis=red) * (1.0 / n)
+    inv = 1.0 / np.sqrt(var + ad.BN_EPS)
+    scale = gamma * inv
+    out = xc * scale + beta
+    sg, sgx = np.sum(g, axis=red), np.sum(g * xc, axis=red)
+    gx = g * scale if stats else scale * (g - (sg + xc * (inv * inv * sgx)) * (1.0 / n))
+    return (out, mean, var), (gx, sgx * inv, sg)
+
+
+@pytest.mark.parametrize("shape", [(16, 32, 32, 32), (16, 8, 8, 64), (16, 4, 16, 2), (6, 5, 1)])
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+def test_batch_norm_is_bitwise_its_whole_array_expressions(rng, shape, train):
+    # the op writes its temporaries into buffers it owns; the bits must not move
+    c = shape[-1]
+    x = rng.uniform(-3, 3, c) + 10.0 ** rng.uniform(-3, 1, c) * rng.standard_normal(shape)
+    gamma, beta = rng.uniform(-2, 2, c), rng.standard_normal(c)
+    stats = None if train else (rng.standard_normal(c), rng.uniform(0.1, 2.0, c))
+    g = rng.standard_normal(shape)
+    out, mean, var = ad.batch_norm(*(ad.leaf(v) for v in (x, gamma, beta)), stats)
+    got = out.vjp(g)
+    (ref, ref_mean, ref_var), want = _batch_norm_expressions(x, gamma, beta, stats, g)
+    assert out.value.tobytes() == ref.tobytes()
+    assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # model construction
 # ---------------------------------------------------------------------------

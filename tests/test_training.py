@@ -98,11 +98,13 @@ def test_adam_rejects_nonfinite_gradients():
 
 
 def _unblocked_adam_step(p, g, m, v, t, lr, b1=0.5, b2=0.999, eps=1e-8):
-    # the whole-array expressions, in the order Adam.step evaluates per block
+    # the whole-array expressions, in the order Adam.step evaluates per block:
+    # Kingma & Ba's form, the bias corrections folded into alpha_t and eps_t
     m = b1 * m + (1 - b1) * g
     v = b2 * v + (1 - b2) * (g * g)
-    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    return p - lr * (m / c1) / (np.sqrt(v / c2) + eps), m, v
+    root_c2 = math.sqrt(1.0 - b2 ** t)
+    alpha, eps_t = lr * root_c2 / (1.0 - b1 ** t), eps * root_c2
+    return p - m / (np.sqrt(v) + eps_t) * alpha, m, v
 
 
 @pytest.mark.parametrize("shape", [(3, training.ADAM_BLOCK + 41), (1,)])
@@ -134,6 +136,25 @@ def test_adam_nonfinite_gradient_leaves_that_tensor_untouched(rng):
         opt.step({a: rng.standard_normal(4), b: bad}, lr=0.1)
     assert b.value is b_value
     assert _adam_snapshot(opt) == before     # nor does a, listed before b, move
+
+
+def test_adam_rejects_a_gradient_whose_square_overflows(rng):
+    # 1e200 is finite, but its square is not: v would become inf and the
+    # coordinate would never move again
+    a = ad.leaf(rng.standard_normal(4), op="param")
+    b = ad.leaf(rng.standard_normal(3), op="param")
+    opt = Adam([("a", a), ("b", b)])
+    opt.step({a: rng.standard_normal(4), b: rng.standard_normal(3)}, lr=0.1)
+    b_value, before = b.value, _adam_snapshot(opt)
+    bad = rng.standard_normal(3)
+    bad[1] = 1e200
+    for sign in (1.0, -1.0):
+        with pytest.raises(FloatingPointError, match="gradient for b"):
+            opt.step({a: rng.standard_normal(4), b: sign * bad}, lr=0.1)
+        assert _adam_snapshot(opt) == before
+    # the largest |g| whose square is finite is still a gradient
+    opt.step({a: np.zeros(4), b: np.full(3, -training.ADAM_GRAD_MAX)}, lr=0.1)
+    assert np.isfinite(opt.v[1]).all() and np.all(b.value > b_value)
 
 
 def test_adam_rejects_gradient_of_wrong_shape():
