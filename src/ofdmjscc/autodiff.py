@@ -203,8 +203,7 @@ def safe_recip(a: Node) -> Node:
     """1/x where x > 0, else 0 (receiver convention for null denominators)."""
     av = a.value
     pos = av > 0.0
-    inv = np.zeros_like(av)
-    np.divide(1.0, av, where=pos, out=inv)
+    inv = np.where(pos, 1.0 / np.where(pos, av, 1.0), 0.0)
     return record("safe_recip", (a,), lambda x: inv,
                   lambda g: (np.where(pos, -g * inv * inv, 0.0),))
 
@@ -232,12 +231,10 @@ def _keep_where_positive(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Node) -> Node:
+    """``1/(1+e^-x)`` for x >= 0 and ``e^x/(1+e^x)`` below, so no exp overflows."""
     x = a.value
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return record("sigmoid", (a,), lambda x_: out, lambda g: (g * out * (1.0 - out),))
 
 
@@ -335,13 +332,20 @@ def matmul(a: Node, b: Node) -> Node:
 # broadcast helpers (explicit, no silent broadcasting elsewhere)
 # ---------------------------------------------------------------------------
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=(0, ..., ndim-2))`` bit for bit. That sum adds the rows in order
+    when ``a`` is C-contiguous with C >= 2, as the faster ``einsum`` does; otherwise
+    (C = 1 sums pairwise, a strided ``a`` in another order) it is itself the fallback."""
+    if a.ndim < 2 or a.shape[-1] < 2 or not a.flags.c_contiguous:
+        return np.sum(a, axis=tuple(range(a.ndim - 1)))
+    return np.einsum("rc->c", a.reshape(-1, a.shape[-1]))
+
+
 def bias_last(x: Node, b: Node) -> Node:
     """Add a vector along the last axis: ``x + b`` with b of shape (C,)."""
     if b.value.ndim != 1 or x.value.shape[-1] != b.value.shape[0]:
         raise ValueError(f"bias_last: {x.shape} + {b.shape}")
-    red = tuple(range(x.value.ndim - 1))
-    return record("bias_last", (x, b), lambda xv, bv: xv + bv,
-                  lambda g: (g, np.sum(g, axis=red)))
+    return record("bias_last", (x, b), lambda xv, bv: xv + bv, lambda g: (g, _channel_sum(g)))
 
 
 def scale_first(x: Node, s: Node) -> Node:
@@ -376,15 +380,12 @@ def clip_scale(a2: Node, threshold: float) -> Node:
     if np.any(v < 0.0):
         raise ValueError("clip_scale: squared amplitudes must be >= 0")
     mask = v > t * t
-    s = np.ones_like(v)
+    vm = np.where(mask, v, 1.0)     # 1.0 in the lanes the selects drop: no spurious warning
     shrink = 1.0 - 4.0 * np.finfo(np.float64).eps
-    np.divide(t * shrink, np.sqrt(v, where=mask, out=np.ones_like(v)), where=mask, out=s)
+    s = np.where(mask, t * shrink / np.sqrt(vm), 1.0)
 
     def bwd(g):
-        d = np.zeros_like(v)
-        np.divide(-0.5 * t, v * np.sqrt(v, where=mask, out=np.ones_like(v)),
-                  where=mask, out=d)
-        return (g * d,)
+        return (g * np.where(mask, -0.5 * t / (vm * np.sqrt(vm)), 0.0),)
 
     return record("clip_scale", (a2,), lambda x: s, bwd)
 
@@ -560,6 +561,14 @@ def _conv_transpose(g: np.ndarray, w: np.ndarray, s: int, pad, hw) -> np.ndarray
     return out
 
 
+# ``fold``, per axis: taps (w0, w1, w2) -> (w2, w1+w2, w0+w1, w0). _FOLD2[4a+b, 3d+e] = fold[a, d]
+# * fold[b, e] is 0 or 1: exact products. Each einsum sums along a stride > 8 of its constant: term
+# by term in (d, e) or (a, b) order, not in the regrouping loop for a sum contiguous in both operands.
+_FOLD = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+_FOLD2 = np.kron(_FOLD, _FOLD)                  # (16, 9)
+_FOLD2_T = np.ascontiguousarray(_FOLD2.T)       # (9, 16)
+
+
 def conv_up2x(x: Node, w: Node) -> Node:
     """``conv2d(nearest 2x upsampling of x, w, pad=(1, 1))``, computed on x (B, H, W, Cin);
     w: (3, 3, Cin, Cout). Per axis, upsampling then the taps (w0, w1, w2) is a stride-2
@@ -568,14 +577,13 @@ def conv_up2x(x: Node, w: Node) -> Node:
     if x.value.ndim != 4 or w.value.ndim != 4 or w.value.shape[:3] != (3, 3, x.value.shape[3]):
         raise ValueError(f"conv_up2x: need x(B,H,W,C), w(3,3,C,Cout); got {x.shape}, {w.shape}")
     (B, H, W, Cin), Cout = x.value.shape, w.value.shape[3]
-    fold = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    k4 = np.einsum("ad,be,deio->aboi", fold, fold, w.value)   # conv2d layout, Cout -> Cin
+    k4 = np.einsum("dk,dio->koi", _FOLD2_T, w.value.reshape(9, Cin, Cout)).reshape(4, 4, Cout, Cin)
 
     def bwd(g):
         gcols = _im2col(g, 4, 4, 2, 1, 1, 2 * H + 2, 2 * W + 2)
         gx = (gcols @ k4.reshape(16 * Cout, Cin)).reshape(B, H, W, Cin)
-        gk4 = (gcols.T @ x.value.reshape(B * H * W, Cin)).reshape(4, 4, Cout, Cin)
-        return gx, np.einsum("ad,be,aboi->deio", fold, fold, gk4)
+        gk4 = (gcols.T @ x.value.reshape(B * H * W, Cin)).reshape(16, Cout, Cin)
+        return gx, np.einsum("kd,koi->dio", _FOLD2, gk4).reshape(3, 3, Cin, Cout)
 
     return record("conv_up2x", (x, w),
                   lambda v, _: _conv_transpose(v, k4, 2, (1, 1), (2 * H, 2 * W)), bwd)
@@ -600,7 +608,6 @@ def batch_norm(x: Node, gamma: Node, beta: Node,
     if x.value.ndim < 2 or any(s != x.value.shape[-1:] for s in shapes):
         raise ValueError(f"batch_norm: need x(..., C) and per-channel (C,) gamma, beta "
                          f"and stats; got {x.shape} and {shapes}")
-    red = tuple(range(x.value.ndim - 1))
     n = x.value.size // x.value.shape[-1]
     train = stats is None
     if train and n < 2:
@@ -611,17 +618,17 @@ def batch_norm(x: Node, gamma: Node, beta: Node,
     def fwd(xv, gv, bv):
         nonlocal mean, var, inv, scale
         if train:
-            mean = np.sum(xv, axis=red) * (1.0 / n)
+            mean = _channel_sum(xv) * (1.0 / n)
         xc = xv + -mean
         if train:
-            var = np.sum(xc * xc, axis=red) * (1.0 / n)
+            var = _channel_sum(xc * xc) * (1.0 / n)
         inv = 1.0 / np.sqrt(var + BN_EPS)
         scale = gv * inv
         return np.add(np.multiply(xc, scale, out=xc), bv, out=xc)    # xc * scale + bv
 
     def bwd(g):
         xc = x.value + -mean        # the forward's expression: x is kept anyway, xc is not
-        sg, sgx = np.sum(g, axis=red), np.sum(g * xc, axis=red)
+        sg, sgx = _channel_sum(g), _channel_sum(g * xc)
         if not train:
             return g * scale, sgx * inv, sg
         # scale * (g - (sg + xc * (inv * inv * sgx)) * (1 / n)), each step written into xc

@@ -76,21 +76,29 @@ def conj_mul(a: CplxNode, b: CplxNode) -> CplxNode:
                               lambda g: (_r(_c(g).conj() * bv), _r(_c(g) * av))))
 
 
+def _times_pair(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``s[..., None] * x`` for x (..., 2) as one strided product per component."""
+    out = np.empty(x.shape)
+    np.multiply(s, x[..., 0], out=out[..., 0])
+    np.multiply(s, x[..., 1], out=out[..., 1])
+    return out
+
+
 def abs2(a: CplxNode) -> Node:
     """Squared amplitude ``re**2 + im**2`` as a real node of shape ``a.shape``."""
     av = a.z.value
     return ad.record("abs2", (a.z,), lambda x: x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1],
-                     lambda g: (2.0 * g[..., None] * av,))
+                     lambda g: (_times_pair(2.0 * g, av),))
 
 
 def mul_real(a: CplxNode, s: Node) -> CplxNode:
     """Multiply by a real node of shape ``a.shape``."""
     if s.value.shape != a.shape:
         raise ValueError(f"mul_real: {a.z.shape} * {s.shape}")
-    av, sv = a.z.value, s.value[..., None]
+    av, sv = a.z.value, s.value
     return CplxNode(ad.record(
-        "mul_real", (a.z, s), lambda x, t: x * t[..., None],
-        lambda g: (g * sv, g[..., 0] * av[..., 0] + g[..., 1] * av[..., 1])))
+        "mul_real", (a.z, s), lambda x, t: _times_pair(t, x),
+        lambda g: (_times_pair(sv, g), g[..., 0] * av[..., 0] + g[..., 1] * av[..., 1])))
 
 
 def _unitary(op: str, a: CplxNode, fwd, inv) -> CplxNode:

@@ -6,6 +6,7 @@ import gc
 import itertools
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,175 @@ def test_relu_is_bitwise_the_select_it_replaces(case):
     assert np.array_equal(_bits(node.value), _bits(np.where(x > 0.0, x, 0.0)))
     (gx,) = node.vjp(g)
     assert np.array_equal(_bits(gx), _bits(np.where(x > 0.0, g, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# fast-path forms: bitwise the masked, gathering or three-operand forms they
+# replaced, which are inlined here as the reference
+# ---------------------------------------------------------------------------
+
+def _spread(rng, shape):
+    """Values over ten decades of either sign, so a changed summation order shows,
+    and some -0.0."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    a[rng.random(shape) < 0.1] = -0.0
+    return a
+
+
+@st.composite
+def _channel_sum_case(draw):
+    shape = draw(array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=9))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    return shape, layout, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _laid_out(rng, shape, layout):
+    """A ``shape`` array, C-contiguous or a non-contiguous view of a larger one."""
+    if layout == "transposed":       # the memory order of a moveaxis gradient
+        return np.moveaxis(_spread(rng, shape[-1:] + shape[:-1]), 0, -1)
+    if layout == "strided":
+        return _spread(rng, shape[:-1] + (2 * shape[-1],))[..., ::2]
+    return _spread(rng, shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_channel_sum_case())
+@example(((16, 1, 16, 8), "transposed", 0))    # gradients into the subnets' BatchNorm
+@example(((16, 4, 16, 2), "transposed", 1))
+@example(((16, 6, 64, 2), "transposed", 2))
+@example(((16, 6, 64, 2), "contiguous", 3))
+@example(((64, 9, 1), "contiguous", 4))        # C = 1: np.sum adds pairwise
+@example(((8, 7, 2), "contiguous", 5))
+def test_channel_sum_is_bitwise_np_sum_over_leading_axes(case):
+    shape, layout, seed = case
+    a = _laid_out(np.random.default_rng(seed), shape, layout)
+    ref = np.sum(a, axis=tuple(range(a.ndim - 1)))
+    got = ad._channel_sum(a)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+@pytest.mark.parametrize("shape", [(16, 6, 64, 2), (16, 1, 16, 8), (40, 1), (5, 3)])
+def test_bias_last_gradient_is_bitwise_np_sum(rng, shape, layout):
+    g = _laid_out(rng, shape, layout)
+    node = ad.bias_last(ad.leaf(np.zeros(shape)), ad.leaf(np.zeros(shape[-1])))
+    assert node.vjp(g)[1].tobytes() == np.sum(g, axis=tuple(range(len(shape) - 1))).tobytes()
+
+
+def _clip_scale_reference(v, t, g):
+    """``clip_scale``'s former scale and VJP: ufuncs masked by ``where=``."""
+    mask = v > t * t
+    s = np.ones_like(v)
+    shrink = 1.0 - 4.0 * np.finfo(np.float64).eps
+    np.divide(t * shrink, np.sqrt(v, where=mask, out=np.ones_like(v)), where=mask, out=s)
+    d = np.zeros_like(v)
+    np.divide(-0.5 * t, v * np.sqrt(v, where=mask, out=np.ones_like(v)), where=mask, out=d)
+    return s, g * d
+
+
+def _warned(fn):
+    """``fn()`` and the floating-point warnings it raised, every one reported."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [str(w.message) for w in caught]
+
+
+@st.composite
+def _clip_case(draw):
+    t = draw(st.one_of(st.floats(1e-150, 1e100), st.just(1.5e-154)))
+    t2 = t * t
+    edge = st.sampled_from([0.0, t2, np.nextafter(t2, np.inf), np.nextafter(t2, 0.0)])
+    elems = st.one_of(edge, st.floats(0.0, 1e200), st.floats(0.0, 4.0 * t2))
+    v = draw(arrays(np.float64, draw(array_shapes(max_dims=2, max_side=6)), elements=elems))
+    g = draw(arrays(np.float64, v.shape, elements=st.floats(-1e3, 1e3)))
+    return v, t, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clip_case())
+@example((np.array([0.0, 2.25e-308, np.nextafter(2.25e-308, 1.0), 3.0e-308, 1.0]), 1.5e-154,
+          np.array([1.0, -2.0, 3.0, -0.0, 0.5])))    # clipped lanes whose v**1.5 underflows
+def test_clip_scale_is_bitwise_its_masked_form(case):
+    v, t, g = case
+
+    def new():
+        node = ad.clip_scale(ad.leaf(v), t)
+        return node.value, node.vjp(g)[0]
+
+    (s, gv), warned = _warned(new)
+    (ref_s, ref_gv), ref_warned = _warned(lambda: _clip_scale_reference(v, t, g))
+    assert s.tobytes() == ref_s.tobytes() and gv.tobytes() == ref_gv.tobytes()
+    assert warned == ref_warned        # the same warnings: 1.0 fills the dropped lanes
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(max_dims=3, max_side=6), elements=st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-100, -1e-100]), st.floats(-1e100, 1e100))))
+def test_safe_recip_is_bitwise_its_masked_divide(x):
+    x = np.where(np.abs(x) < 1e-100, 0.0, x)      # 1/x and its square stay finite
+    g = np.linspace(-2.0, 3.0, x.size).reshape(x.shape)
+    pos = x > 0.0
+    ref = np.zeros_like(x)
+    np.divide(1.0, x, where=pos, out=ref)
+    node = ad.safe_recip(ad.leaf(x))
+    assert node.value.tobytes() == ref.tobytes()
+    assert node.vjp(g)[0].tobytes() == np.where(pos, -g * ref * ref, 0.0).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(max_dims=3, max_side=6), elements=st.one_of(
+    st.sampled_from([0.0, -0.0, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False))))
+def test_sigmoid_is_bitwise_its_gather_scatter_form(x):
+    ref, pos = np.empty_like(x), x >= 0.0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    g = np.linspace(-2.0, 3.0, x.size).reshape(x.shape)
+    node = ad.sigmoid(ad.leaf(x))
+    assert node.value.tobytes() == ref.tobytes()
+    assert node.vjp(g)[0].tobytes() == (g * ref * (1.0 - ref)).tobytes()
+
+
+_extremes = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 3e300, -3e300]),
+                      st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _up2x_case(draw):
+    h, w_, cin, cout = (draw(st.integers(1, n)) for n in (4, 4, 3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, w = rng.uniform(-1, 1, (2, h, w_, cin)), rng.uniform(-1, 1, (3, 3, cin, cout))
+    g = rng.uniform(-1, 1, (2, 2 * h, 2 * w_, cout))
+    if draw(st.booleans()):     # extreme weights pin the fold, extreme gradients the unfold
+        w = draw(arrays(np.float64, w.shape, elements=_extremes))
+    else:
+        g = draw(arrays(np.float64, g.shape, elements=_extremes))
+    return x, w, g
+
+
+# summed in another grouping than term by term, these give other bits (Cin = Cout = 1)
+_cancelling_w = np.array([[3e300, -3e300, 5e-324], [5e-324] * 3, [5e-324] * 3]).reshape(3, 3, 1, 1)
+_cancelling_g = np.array([[3e300, 5e-324], [-3e300, 5e-324]]).reshape(1, 2, 2, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_up2x_case())
+@example((np.ones((1, 1, 1, 1)), _cancelling_w, np.full((1, 2, 2, 1), 0.5)))
+@example((np.ones((1, 1, 1, 1)), np.full((3, 3, 1, 1), 0.5), _cancelling_g))
+def test_conv_up2x_fold_is_bitwise_its_three_operand_einsum(case):
+    x, w, g = case
+    (h, w_, cin), cout = x.shape[1:], w.shape[3]
+    fold = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    k4 = np.einsum("ad,be,deio->aboi", fold, fold, w)
+    gcols = ad._im2col(g, 4, 4, 2, 1, 1, 2 * h + 2, 2 * w_ + 2)
+    gk4 = (gcols.T @ x.reshape(-1, cin)).reshape(4, 4, cout, cin)
+    node = ad.conv_up2x(ad.leaf(x), ad.leaf(w))
+    gx, gw = node.vjp(g)
+    assert node.value.tobytes() == ad._conv_transpose(x, k4, 2, (1, 1), (2 * h, 2 * w_)).tobytes()
+    assert gx.tobytes() == (gcols @ k4.reshape(16 * cout, cin)).reshape(x.shape).tobytes()
+    assert gw.tobytes() == np.einsum("ad,be,aboi->deio", fold, fold, gk4).tobytes()
 
 
 def test_conv2d_forward_against_loops(rng):

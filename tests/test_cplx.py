@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 from numpy.lib.stride_tricks import sliding_window_view
 
 import ofdmjscc.autodiff as ad
@@ -156,6 +157,27 @@ def test_fir_windows_match_sliding_window_view(geometry):
     assert np.array_equal(out.value, np.stack([want.real, want.imag], axis=-1))
     want = (windows(g, 0) @ taps.conj()[:, :, None])[..., 0]
     assert np.array_equal(out.vjp(g)[0], np.stack([want.real, want.imag], axis=-1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(array_shapes(min_dims=1, max_dims=3, max_side=6), st.booleans(), _seed)
+def test_pair_products_are_bitwise_the_pair_axis_broadcasts(shape, strided, seed):
+    # abs2's VJP and mul_real against the former ``[..., None]`` broadcasts; the
+    # gradients may arrive as strided views
+    r = np.random.default_rng(seed)
+    x = r.standard_normal(shape + (2,)) * 10.0 ** r.uniform(-5, 5, shape + (2,))
+    x.flat[::3] = -0.0
+    s = r.standard_normal(shape)
+    g, ga = r.standard_normal(shape + (4,)), r.standard_normal(shape[:-1] + (2 * shape[-1],))
+    g, ga = (g[..., ::2], ga[..., ::2]) if strided else (g[..., :2].copy(), ga[..., ::2].copy())
+    z, sn = ad.leaf(x), ad.leaf(s)
+    m = cplx.mul_real(cplx.CplxNode(z), sn).z
+    assert m.value.tobytes() == (x * s[..., None]).tobytes()
+    gx, gs = m.vjp(g)
+    assert gx.tobytes() == (g * s[..., None]).tobytes()
+    assert gs.tobytes() == (g[..., 0] * x[..., 0] + g[..., 1] * x[..., 1]).tobytes()
+    (gz,) = cplx.abs2(cplx.CplxNode(z)).vjp(ga)
+    assert gz.tobytes() == (2.0 * ga[..., None] * x).tobytes()
 
 
 # ---------------------------------------------------------------------------
