@@ -6,7 +6,10 @@ same seed and config, training is bitwise deterministic.
 Evaluation runs one self-contained pass per chunk of ``EVAL_BATCH`` images
 (``_eval_chunk``). Each (image, realization) pair draws its taps, then its
 noise, from its own stream, as ``sample_channel`` then ``awgn`` would, and no
-chunk depends on ``workers``, so neither do the results.
+chunk depends on ``workers``, so neither do the results. The draws depend only
+on the seed, the pair and the two lengths, so ``_pair_normals`` keeps the last
+``PAIR_NORMALS_CACHE`` pairs' standard normals and later points of a sweep on
+the same set and seed scale them again instead of rebuilding each stream.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .ofdm import papr_db
 
 DIVERGENCE_LOSS = 1e8
 EVAL_BATCH = 16   # images per evaluation chunk, pairs per receive pass
+PAIR_NORMALS_CACHE = 512   # pairs whose normals are kept: twice eval's default 50 x 5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.5, 0.999, 1e-8
 ADAM_BLOCK = 32768  # elements per block of the Adam update (fits in L2 with its operands)
 ADAM_GRAD_MAX = math.sqrt(sys.float_info.max)   # the largest |g| whose square is finite
@@ -86,30 +90,32 @@ class Adam:
         root_c2 = math.sqrt(1.0 - b2 ** self.step_count)
         alpha = lr * root_c2 / (1.0 - b1 ** self.step_count)
         eps = ADAM_EPS * root_c2
-        for i, (name, node) in enumerate(self.params):
-            g, m, v = grads[node].reshape(-1), self.m[i].reshape(-1), self.v[i].reshape(-1)
-            p = node.value.reshape(-1)
-            new = np.empty(p.shape)
-            for lo in range(0, p.size, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, p.size)
-                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-                a, ok = (t[:hi - lo] for t in self._scratch)
-                # m = b1 * m + (1 - b1) * g
-                np.multiply(mb, b1, out=mb)
-                np.add(mb, np.multiply(gb, 1 - b1, out=a), out=mb)
-                # v = b2 * v + (1 - b2) * (g * g)
-                np.multiply(vb, b2, out=vb)
-                np.multiply(np.multiply(gb, gb, out=a), 1 - b2, out=a)
-                np.add(vb, a, out=vb)
-                # new = p - m / (sqrt(v) + eps_t) * alpha_t
-                np.add(np.sqrt(vb, out=a), eps, out=a)
-                np.multiply(np.divide(mb, a, out=a), alpha, out=a)
-                np.subtract(p[lo:hi], a, out=new[lo:hi])
-                if not np.isfinite(new[lo:hi], out=ok).all():
-                    raise FloatingPointError(f"Adam: non-finite value for {name}")
-            new = new.reshape(node.value.shape)
-            new.setflags(write=False)
-            node.value = new     # a fresh array nothing else holds: no copy
+        # numpy warns of an overflow before the check below can name the tensor
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (name, node) in enumerate(self.params):
+                g, m, v = grads[node].reshape(-1), self.m[i].reshape(-1), self.v[i].reshape(-1)
+                p = node.value.reshape(-1)
+                new = np.empty(p.shape)
+                for lo in range(0, p.size, ADAM_BLOCK):
+                    hi = min(lo + ADAM_BLOCK, p.size)
+                    gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+                    a, ok = (t[:hi - lo] for t in self._scratch)
+                    # m = b1 * m + (1 - b1) * g
+                    np.multiply(mb, b1, out=mb)
+                    np.add(mb, np.multiply(gb, 1 - b1, out=a), out=mb)
+                    # v = b2 * v + (1 - b2) * (g * g)
+                    np.multiply(vb, b2, out=vb)
+                    np.multiply(np.multiply(gb, gb, out=a), 1 - b2, out=a)
+                    np.add(vb, a, out=vb)
+                    # new = p - m / (sqrt(v) + eps_t) * alpha_t
+                    np.add(np.sqrt(vb, out=a), eps, out=a)
+                    np.multiply(np.divide(mb, a, out=a), alpha, out=a)
+                    np.subtract(p[lo:hi], a, out=new[lo:hi])
+                    if not np.isfinite(new[lo:hi], out=ok).all():
+                        raise FloatingPointError(f"Adam: non-finite value for {name}")
+                new = new.reshape(node.value.shape)
+                new.setflags(write=False)
+                node.value = new     # a fresh array nothing else holds: no copy
 
     def state(self) -> dict:
         return {"step": self.step_count, "m": [m.copy() for m in self.m],
@@ -191,16 +197,33 @@ class EvalResult:
     per_image_psnr_db: np.ndarray
 
 
+@lru_cache(maxsize=PAIR_NORMALS_CACHE)
+def _pair_normals(seed: int, i: int, r: int, n_taps: int,
+                  rx_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair (i, r)'s standard normals: the first (``n_taps``, 2) of stream
+    (seed, 3, i, r), then the next (``rx_len``, 2), read-only.
+
+    The noise is drawn even where none is added, so the taps never depend on
+    the SNR. Memoized: a sweep on one set and seed builds each stream once.
+    """
+    rng = rng_stream(seed, 3, i, r)
+    taps, noise = rng.standard_normal((n_taps, 2)), rng.standard_normal((rx_len, 2))
+    taps.setflags(write=False)
+    noise.setflags(write=False)
+    return taps, noise
+
+
 def _eval_chunk(model, images, first, *, clip_ratio, sigma_sq, n_taps, gamma,
                 realizations, seed):
     """Evaluate a chunk of images, image ``i`` being image ``first + i`` of the set.
 
     One graph-free ``transmit`` of the chunk, then graph-free ``receive`` passes
     over its (image, realization) pairs in index order, ``EVAL_BATCH`` pairs to a
-    pass, each pair on its image's packet. Pair (i, r) draws its taps, then its
-    noise, into its row of the pass arrays from stream (seed, 3, first + i, r);
-    the pass scales them at once. Returns per-pair PSNR and SSIM, each of shape
-    (images, ``realizations``), and the per-image PAPR.
+    pass, each pair on its image's packet. Pair (i, r)'s taps, then its noise,
+    are the normals ``_pair_normals`` draws from stream (seed, 3, first + i, r),
+    copied into the pair's row of the pass arrays; the pass scales them at once.
+    Returns per-pair PSNR and SSIM, each of shape (images, ``realizations``),
+    and the per-image PAPR.
     """
     with ad.no_grad():
         tx = model.transmit(images, clip_ratio, train=False).tx
@@ -208,15 +231,11 @@ def _eval_chunk(model, images, first, *, clip_ratio, sigma_sq, n_taps, gamma,
     psnr, ssim = np.empty(n_pairs), np.empty(n_pairs)
     for lo in range(0, n_pairs, EVAL_BATCH):
         hi = min(lo + EVAL_BATCH, n_pairs)
-        g_taps = np.empty((hi - lo, n_taps, 2))
-        g_noise = np.empty((hi - lo, model.rx_len, 2)) if sigma_sq > 0.0 else None
-        for k, p in enumerate(range(lo, hi)):
-            rng = rng_stream(seed, 3, first + p // realizations, p % realizations)
-            rng.standard_normal(out=g_taps[k])
-            if g_noise is not None:
-                rng.standard_normal(out=g_noise[k])
-        taps = complex_normal(g_taps, power_profile(n_taps, gamma))
-        noise = None if g_noise is None else complex_normal(g_noise, sigma_sq)
+        normals = [_pair_normals(seed, first + p // realizations, p % realizations, n_taps,
+                                 model.rx_len) for p in range(lo, hi)]
+        taps = complex_normal(np.stack([g for g, _ in normals]), power_profile(n_taps, gamma))
+        noise = (complex_normal(np.stack([g for _, g in normals]), sigma_sq)
+                 if sigma_sq > 0.0 else None)
         rows = np.arange(lo, hi) // realizations
         with ad.no_grad():
             rec = model.receive(CplxNode(ad.constant(packets[rows])), taps, sigma_sq,
@@ -239,13 +258,17 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
     ``workers > 1`` spreads the image chunks over threads. Results are
     independent of ``workers``: each pair draws from its own RNG stream, the
     chunks do not depend on ``workers`` and aggregation runs in index order.
+    The condition is checked as a ``TrainConfig`` is; ``realizations`` and
+    ``workers`` must be ints >= 1.
     """
-    if realizations < 1:
-        raise ValueError("evaluate: realizations must be >= 1")
-    if workers < 1:
-        raise ValueError(f"evaluate: workers must be >= 1, got {workers}")
-    if seed < 0:
-        raise ValueError(f"evaluate: seed must be >= 0, got {seed}")
+    try:
+        TrainConfig(snr_db=snr_db, clip_ratio=clip_ratio, n_taps=n_taps, gamma=gamma,
+                    seed=seed)
+    except ValueError as e:
+        raise ValueError(f"evaluate: {e}") from None
+    for name, v in (("realizations", realizations), ("workers", workers)):
+        if type(v) is not int or v < 1:
+            raise ValueError(f"evaluate: {name} must be an int >= 1, got {v!r}")
     n = images.shape[0]
     if n < 1:
         raise ValueError("evaluate: empty image set")

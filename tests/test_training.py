@@ -198,6 +198,40 @@ def test_adam_state_round_trip(rng):
     assert all(np.array_equal(a, b) for a, b in zip(opt.v, opt2.v))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_adam_resumed_from_its_state_continues_bitwise(rng, k):
+    # k steps, then state() into a fresh optimizer on copies of the parameters,
+    # as a checkpoint reload does, then on to n: bitwise the n steps run straight
+    n, shapes = 5, [(3, 4), (5,)]
+    p0 = [rng.standard_normal(s) for s in shapes]
+    grads = [[rng.standard_normal(s) * 10.0 ** (t - 2) for s in shapes] for t in range(n)]
+
+    def run(values, state, steps):
+        nodes = [ad.leaf(v, op="param") for v in values]
+        opt = Adam(list(zip("ab", nodes)))
+        if state is not None:
+            opt.load_state(state)
+        for t in steps:
+            opt.step(dict(zip(nodes, grads[t])), lr=0.05)
+        return opt
+
+    straight = run(p0, None, range(n))
+    first = run(p0, None, range(k))
+    resumed = run([p.value for _, p in first.params], first.state(), range(k, n))
+    assert resumed.step_count == n
+    assert _adam_snapshot(resumed) == _adam_snapshot(straight)
+
+
+def test_adam_reports_a_non_finite_update_by_name():
+    # a finite gradient and finite moments, but p - alpha_t * m / (sqrt(v) + eps_t)
+    # overflows: the step must name the tensor, not stop at numpy's overflow warning
+    node = ad.leaf(np.array([-1e308]), op="param")
+    before = node.value.tobytes()
+    with pytest.raises(FloatingPointError, match="Adam: non-finite value for p"):
+        Adam([("p", node)]).step({node: np.array([1.0])}, lr=1e308)
+    assert node.value.tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # schedule and loss
 # ---------------------------------------------------------------------------
@@ -538,6 +572,78 @@ def test_evaluate_rejects_bad_realizations():
         evaluate(model, _toy_images(1), snr_db=10.0, workers=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         evaluate(model, _toy_images(1), snr_db=10.0, seed=-1)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"snr_db": "10"}, "snr_db must be"), ({"snr_db": math.nan}, "snr_db must be"),
+    ({"clip_ratio": 0.0}, "clip_ratio must be"), ({"n_taps": 2.0}, "n_taps must be"),
+    ({"gamma": 0.0}, "gamma must be"), ({"seed": 1.0}, "seed must be"),
+    ({"seed": True}, "seed must be"), ({"realizations": 2.0}, "realizations must be"),
+    ({"workers": 1.5}, "workers must be")],
+    ids=["snr_db_str", "snr_db_nan", "clip_ratio_zero", "n_taps_float", "gamma_zero",
+         "seed_float", "seed_bool", "realizations_float", "workers_float"])
+def test_evaluate_checks_its_arguments_before_encoding(monkeypatch, bad, message):
+    # seed=1.0 hashes as seed=1, so with seed 1's draws cached an unchecked
+    # call would succeed where a cold one fails
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    kw = dict(snr_db=10.0, n_taps=3, realizations=2, seed=1)
+    evaluate(model, _toy_images(2), **kw)
+    encoded = []
+    monkeypatch.setattr(training.JsccModel, "encode",
+                        lambda self, x, train: encoded.append(x))
+    with pytest.raises(ValueError, match=f"evaluate: {message}"):
+        evaluate(model, _toy_images(2), **{**kw, **bad})
+    assert encoded == []
+
+
+def test_pair_normals_are_the_streams_draws():
+    training._pair_normals.cache_clear()
+    taps, noise = training._pair_normals(5, 3, 1, 4, 24)
+    rng = rng_stream(5, 3, 3, 1)
+    assert taps.tobytes() == rng.standard_normal((4, 2)).tobytes()
+    assert noise.tobytes() == rng.standard_normal((24, 2)).tobytes()
+    assert taps.shape == (4, 2) and noise.shape == (24, 2)
+    assert not taps.flags.writeable and not noise.flags.writeable
+    again = training._pair_normals(5, 3, 1, 4, 24)
+    assert again[0] is taps and again[1] is noise
+
+
+def _eval_bytes(res):
+    return res.psnr_db, res.ssim, res.papr_p99_db, res.per_image_psnr_db.tobytes()
+
+
+def test_evaluate_sweep_builds_each_pairs_stream_once(monkeypatch):
+    # 20 images x 2 realizations: two image chunks and three receive passes
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    imgs = _toy_images(20)
+    kw = dict(clip_ratio=1.2, n_taps=3, gamma=4.0, realizations=2, seed=5)
+    training._pair_normals.cache_clear()
+    cold = evaluate(model, imgs, snr_db=0.0, **kw)
+    built = []
+
+    def counting_stream(seed, *key):
+        built.append(key)
+        return rng_stream(seed, *key)
+
+    monkeypatch.setattr(training, "rng_stream", counting_stream)
+    training._pair_normals.cache_clear()
+    evaluate(model, imgs, snr_db=10.0, **kw)
+    assert sorted(built) == [(3, i, r) for i in range(20) for r in range(2)]
+    built.clear()
+    warm = evaluate(model, imgs, snr_db=0.0, **kw)
+    assert built == []
+    assert _eval_bytes(warm) == _eval_bytes(cold)
+
+
+def test_evaluate_on_a_warm_cache_is_worker_invariant():
+    # 37 images: three image chunks, so two threads share the cached draws
+    model = build_model(tiny_model_cfg("implicit"), seed=2)
+    imgs = _toy_images(37)
+    kw = dict(snr_db=10.0, clip_ratio=1.2, n_taps=3, realizations=3, seed=5)
+    training._pair_normals.cache_clear()
+    serial = evaluate(model, imgs, workers=1, **kw)
+    assert training._pair_normals.cache_info().currsize == 37 * 3
+    assert _eval_bytes(evaluate(model, imgs, workers=2, **kw)) == _eval_bytes(serial)
 
 
 # ---------------------------------------------------------------------------
