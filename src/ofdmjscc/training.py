@@ -7,19 +7,21 @@ Evaluation runs one self-contained pass per chunk of ``EVAL_BATCH`` images
 (``_eval_chunk``). Each (image, realization) pair draws its taps, then its
 noise, from its own stream, as ``sample_channel`` then ``awgn`` would, and no
 chunk depends on ``workers``, so neither do the results. The draws depend only
-on the seed, the pair and the two lengths, so ``_pair_normals`` keeps the last
-``PAIR_NORMALS_CACHE`` pairs' standard normals and later points of a sweep on
-the same set and seed scale them again instead of rebuilding each stream.
+on the seed, the chunk's pairs and the two lengths, so ``_chunk_normals`` keeps
+each chunk's standard normals, up to ``CHUNK_NORMALS_BYTES`` in all, and later
+points of a sweep on a set of the same size and seed scale them again instead
+of rebuilding each stream.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .ofdm import papr_db
 
 DIVERGENCE_LOSS = 1e8
 EVAL_BATCH = 16   # images per evaluation chunk, pairs per receive pass
-PAIR_NORMALS_CACHE = 512   # pairs whose normals are kept: twice eval's default 50 x 5
+CHUNK_NORMALS_BYTES = 32 << 20   # kept normals: eval's default 50 x 5 at 12 tap counts
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.5, 0.999, 1e-8
 ADAM_BLOCK = 32768  # elements per block of the Adam update (fits in L2 with its operands)
 ADAM_GRAD_MAX = math.sqrt(sys.float_info.max)   # the largest |g| whose square is finite
@@ -197,20 +199,43 @@ class EvalResult:
     per_image_psnr_db: np.ndarray
 
 
-@lru_cache(maxsize=PAIR_NORMALS_CACHE)
-def _pair_normals(seed: int, i: int, r: int, n_taps: int,
-                  rx_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (i, r)'s standard normals: the first (``n_taps``, 2) of stream
-    (seed, 3, i, r), then the next (``rx_len``, 2), read-only.
+_CHUNK_NORMALS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_CHUNK_NORMALS_LOCK = threading.Lock()
 
-    The noise is drawn even where none is added, so the taps never depend on
-    the SNR. Memoized: a sweep on one set and seed builds each stream once.
+
+def _chunk_normals(seed: int, first: int, count: int, realizations: int, n_taps: int,
+                   rx_len: int, noise: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Standard normals of the pairs of images ``first`` .. ``first + count - 1``,
+    in pair order: pair p's taps are row p of the first array, (pairs, ``n_taps``,
+    2), and its noise row p of the second, (pairs, ``rx_len``, 2), both drawn from
+    stream (seed, 3, first + p // realizations, p % realizations), taps first.
+
+    Kept in ``_CHUNK_NORMALS``, read-only, while the kept arrays stay within
+    ``CHUNK_NORMALS_BYTES``; once that is full, further chunks are drawn and not
+    kept, so reuse does not depend on the order of a sweep's points. Without
+    ``noise`` (infinite SNR), a chunk not kept yet has only its taps drawn,
+    returns None for its noise and stays unkept.
     """
-    rng = rng_stream(seed, 3, i, r)
-    taps, noise = rng.standard_normal((n_taps, 2)), rng.standard_normal((rx_len, 2))
-    taps.setflags(write=False)
-    noise.setflags(write=False)
-    return taps, noise
+    key = (seed, first, count, realizations, n_taps, rx_len)
+    if (kept := _CHUNK_NORMALS.get(key)) is not None:
+        return kept
+    n_pairs = count * realizations
+    g_taps = np.empty((n_pairs, n_taps, 2))
+    g_noise = np.empty((n_pairs, rx_len, 2)) if noise else None
+    for p in range(n_pairs):
+        rng = rng_stream(seed, 3, first + p // realizations, p % realizations)
+        rng.standard_normal(out=g_taps[p])
+        if g_noise is not None:
+            rng.standard_normal(out=g_noise[p])
+    if g_noise is None:
+        return g_taps, None
+    g_taps.setflags(write=False)
+    g_noise.setflags(write=False)
+    with _CHUNK_NORMALS_LOCK:
+        if (sum(t.nbytes + z.nbytes for t, z in _CHUNK_NORMALS.values())
+                + g_taps.nbytes + g_noise.nbytes <= CHUNK_NORMALS_BYTES):
+            _CHUNK_NORMALS.setdefault(key, (g_taps, g_noise))
+    return g_taps, g_noise
 
 
 def _eval_chunk(model, images, first, *, clip_ratio, sigma_sq, n_taps, gamma,
@@ -220,22 +245,21 @@ def _eval_chunk(model, images, first, *, clip_ratio, sigma_sq, n_taps, gamma,
     One graph-free ``transmit`` of the chunk, then graph-free ``receive`` passes
     over its (image, realization) pairs in index order, ``EVAL_BATCH`` pairs to a
     pass, each pair on its image's packet. Pair (i, r)'s taps, then its noise,
-    are the normals ``_pair_normals`` draws from stream (seed, 3, first + i, r),
-    copied into the pair's row of the pass arrays; the pass scales them at once.
+    are drawn from stream (seed, 3, first + i, r) into its row of the chunk's
+    normals (``_chunk_normals``); each pass scales its rows at once.
     Returns per-pair PSNR and SSIM, each of shape (images, ``realizations``),
     and the per-image PAPR.
     """
     with ad.no_grad():
         tx = model.transmit(images, clip_ratio, train=False).tx
     packets, n_pairs = tx.z.value, len(images) * realizations
+    g_taps, g_noise = _chunk_normals(seed, first, len(images), realizations, n_taps,
+                                     model.rx_len, noise=sigma_sq > 0.0)
     psnr, ssim = np.empty(n_pairs), np.empty(n_pairs)
     for lo in range(0, n_pairs, EVAL_BATCH):
         hi = min(lo + EVAL_BATCH, n_pairs)
-        normals = [_pair_normals(seed, first + p // realizations, p % realizations, n_taps,
-                                 model.rx_len) for p in range(lo, hi)]
-        taps = complex_normal(np.stack([g for g, _ in normals]), power_profile(n_taps, gamma))
-        noise = (complex_normal(np.stack([g for _, g in normals]), sigma_sq)
-                 if sigma_sq > 0.0 else None)
+        taps = complex_normal(g_taps[lo:hi], power_profile(n_taps, gamma))
+        noise = complex_normal(g_noise[lo:hi], sigma_sq) if sigma_sq > 0.0 else None
         rows = np.arange(lo, hi) // realizations
         with ad.no_grad():
             rec = model.receive(CplxNode(ad.constant(packets[rows])), taps, sigma_sq,
@@ -259,8 +283,12 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
     independent of ``workers``: each pair draws from its own RNG stream, the
     chunks do not depend on ``workers`` and aggregation runs in index order.
     The condition is checked as a ``TrainConfig`` is; ``realizations`` and
-    ``workers`` must be ints >= 1.
+    ``workers`` must be ints >= 1. Numpy scalars count as the Python numbers
+    they hold.
     """
+    snr_db, clip_ratio, n_taps, gamma, seed, realizations, workers = (
+        v.item() if isinstance(v, np.generic) else v
+        for v in (snr_db, clip_ratio, n_taps, gamma, seed, realizations, workers))
     try:
         TrainConfig(snr_db=snr_db, clip_ratio=clip_ratio, n_taps=n_taps, gamma=gamma,
                     seed=seed)

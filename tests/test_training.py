@@ -578,10 +578,11 @@ def test_evaluate_rejects_bad_realizations():
     ({"snr_db": "10"}, "snr_db must be"), ({"snr_db": math.nan}, "snr_db must be"),
     ({"clip_ratio": 0.0}, "clip_ratio must be"), ({"n_taps": 2.0}, "n_taps must be"),
     ({"gamma": 0.0}, "gamma must be"), ({"seed": 1.0}, "seed must be"),
-    ({"seed": True}, "seed must be"), ({"realizations": 2.0}, "realizations must be"),
-    ({"workers": 1.5}, "workers must be")],
+    ({"seed": True}, "seed must be"), ({"seed": np.float64(1.0)}, "seed must be"),
+    ({"realizations": 2.0}, "realizations must be"), ({"workers": 1.5}, "workers must be")],
     ids=["snr_db_str", "snr_db_nan", "clip_ratio_zero", "n_taps_float", "gamma_zero",
-         "seed_float", "seed_bool", "realizations_float", "workers_float"])
+         "seed_float", "seed_bool", "seed_numpy_float", "realizations_float",
+         "workers_float"])
 def test_evaluate_checks_its_arguments_before_encoding(monkeypatch, bad, message):
     # seed=1.0 hashes as seed=1, so with seed 1's draws cached an unchecked
     # call would succeed where a cold one fails
@@ -596,15 +597,36 @@ def test_evaluate_checks_its_arguments_before_encoding(monkeypatch, bad, message
     assert encoded == []
 
 
-def test_pair_normals_are_the_streams_draws():
-    training._pair_normals.cache_clear()
-    taps, noise = training._pair_normals(5, 3, 1, 4, 24)
-    rng = rng_stream(5, 3, 3, 1)
-    assert taps.tobytes() == rng.standard_normal((4, 2)).tobytes()
-    assert noise.tobytes() == rng.standard_normal((24, 2)).tobytes()
-    assert taps.shape == (4, 2) and noise.shape == (24, 2)
+@pytest.fixture
+def no_kept_normals():
+    training._CHUNK_NORMALS.clear()
+    yield
+    training._CHUNK_NORMALS.clear()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    # the stream keys of every generator evaluate builds
+    keys = []
+
+    def counting_stream(seed, *key):
+        keys.append(key)
+        return rng_stream(seed, *key)
+
+    monkeypatch.setattr(training, "rng_stream", counting_stream)
+    return keys
+
+
+def test_chunk_normals_are_the_streams_draws(no_kept_normals):
+    # images 3 and 4 at 2 realizations: pairs (3, 0), (3, 1), (4, 0), (4, 1)
+    taps, noise = training._chunk_normals(5, 3, 2, 2, 4, 24, noise=True)
+    assert taps.shape == (4, 4, 2) and noise.shape == (4, 24, 2)
+    for p, (i, r) in enumerate([(3, 0), (3, 1), (4, 0), (4, 1)]):
+        rng = rng_stream(5, 3, i, r)
+        assert taps[p].tobytes() == rng.standard_normal((4, 2)).tobytes()
+        assert noise[p].tobytes() == rng.standard_normal((24, 2)).tobytes()
     assert not taps.flags.writeable and not noise.flags.writeable
-    again = training._pair_normals(5, 3, 1, 4, 24)
+    again = training._chunk_normals(5, 3, 2, 2, 4, 24, noise=False)
     assert again[0] is taps and again[1] is noise
 
 
@@ -612,21 +634,14 @@ def _eval_bytes(res):
     return res.psnr_db, res.ssim, res.papr_p99_db, res.per_image_psnr_db.tobytes()
 
 
-def test_evaluate_sweep_builds_each_pairs_stream_once(monkeypatch):
+def test_evaluate_sweep_builds_each_pairs_stream_once(no_kept_normals, built):
     # 20 images x 2 realizations: two image chunks and three receive passes
     model = build_model(tiny_model_cfg("explicit"), seed=2)
     imgs = _toy_images(20)
     kw = dict(clip_ratio=1.2, n_taps=3, gamma=4.0, realizations=2, seed=5)
-    training._pair_normals.cache_clear()
     cold = evaluate(model, imgs, snr_db=0.0, **kw)
-    built = []
-
-    def counting_stream(seed, *key):
-        built.append(key)
-        return rng_stream(seed, *key)
-
-    monkeypatch.setattr(training, "rng_stream", counting_stream)
-    training._pair_normals.cache_clear()
+    training._CHUNK_NORMALS.clear()
+    built.clear()
     evaluate(model, imgs, snr_db=10.0, **kw)
     assert sorted(built) == [(3, i, r) for i in range(20) for r in range(2)]
     built.clear()
@@ -635,15 +650,70 @@ def test_evaluate_sweep_builds_each_pairs_stream_once(monkeypatch):
     assert _eval_bytes(warm) == _eval_bytes(cold)
 
 
-def test_evaluate_on_a_warm_cache_is_worker_invariant():
-    # 37 images: three image chunks, so two threads share the cached draws
+def test_evaluate_sweep_with_tap_counts_innermost_reuses_every_draw(no_kept_normals, built):
+    # eval's point order, tap count innermost: 3 tap counts x 60 images x 3
+    # realizations are 540 (pair, tap count) draws, more than a 512-pair LRU
+    # would hold in this order; each is still drawn once
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    imgs = _toy_images(60)
+    for snr in (0.0, 10.0):
+        for n_taps in (2, 3, 4):
+            evaluate(model, imgs, snr_db=snr, n_taps=n_taps, realizations=3, seed=5)
+    assert sorted(built) == sorted([(3, i, r) for i in range(60) for r in range(3)] * 3)
+
+
+def test_evaluate_past_the_normals_bound_draws_the_rest_each_time(
+        monkeypatch, no_kept_normals, built):
+    # room for the first chunk (16 images x 2 realizations) only: it is kept,
+    # the second (4 images) is drawn again at every point, and nothing changes
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    imgs = _toy_images(20)
+    rx_len = model.rx_len
+    monkeypatch.setattr(training, "CHUNK_NORMALS_BYTES", 32 * (3 + rx_len) * 2 * 8)
+    kw = dict(snr_db=10.0, n_taps=3, realizations=2, seed=5)
+    first = evaluate(model, imgs, **kw)
+    assert list(training._CHUNK_NORMALS) == [(5, 0, 16, 2, 3, rx_len)]
+    built.clear()
+    again = evaluate(model, imgs, **kw)
+    assert sorted(built) == [(3, i, r) for i in range(16, 20) for r in range(2)]
+    assert _eval_bytes(again) == _eval_bytes(first)
+
+
+def test_evaluate_at_infinite_snr_draws_taps_only_when_cold(no_kept_normals, built):
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    imgs = _toy_images(3)
+    kw = dict(snr_db=math.inf, n_taps=3, realizations=2, seed=5)
+    cold = evaluate(model, imgs, **kw)
+    assert training._CHUNK_NORMALS == {}
+    evaluate(model, imgs, **{**kw, "snr_db": 10.0})
+    built.clear()
+    assert _eval_bytes(evaluate(model, imgs, **kw)) == _eval_bytes(cold)
+    assert built == []
+
+
+def test_evaluate_on_a_warm_cache_is_worker_invariant(no_kept_normals):
+    # 37 images: three image chunks, so two threads share the kept draws
     model = build_model(tiny_model_cfg("implicit"), seed=2)
     imgs = _toy_images(37)
     kw = dict(snr_db=10.0, clip_ratio=1.2, n_taps=3, realizations=3, seed=5)
-    training._pair_normals.cache_clear()
     serial = evaluate(model, imgs, workers=1, **kw)
-    assert training._pair_normals.cache_info().currsize == 37 * 3
+    assert len(training._CHUNK_NORMALS) == 3
     assert _eval_bytes(evaluate(model, imgs, workers=2, **kw)) == _eval_bytes(serial)
+
+
+def test_evaluate_takes_numpy_scalars_as_python_numbers(no_kept_normals):
+    # a sweep over np.arange or np.linspace passes numpy scalars
+    model = build_model(tiny_model_cfg("explicit"), seed=2)
+    imgs = _toy_images(3)
+    py = evaluate(model, imgs, snr_db=10.0, clip_ratio=1.2, n_taps=3, gamma=4.0,
+                  realizations=2, seed=1, workers=1)
+    training._CHUNK_NORMALS.clear()
+    np_ = evaluate(model, imgs, snr_db=np.float64(10.0), clip_ratio=np.float64(1.2),
+                   n_taps=np.int64(3), gamma=np.float32(4.0), realizations=np.int32(2),
+                   seed=np.int64(1), workers=np.int64(1))
+    assert _eval_bytes(np_) == _eval_bytes(py)
+    assert list(training._CHUNK_NORMALS) == [(1, 0, 3, 2, 3, model.rx_len)]
+    assert all(type(k) is int for k in next(iter(training._CHUNK_NORMALS)))
 
 
 # ---------------------------------------------------------------------------
