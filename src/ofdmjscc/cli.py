@@ -25,7 +25,7 @@ from .data import CheckpointError, load_checkpoint, save_checkpoint, synth_datas
 from .model import build_model
 from .ofdm import assemble_packet, disassemble_packet, make_pilots, papr_db
 from .receiver import equalize_mmse, estimate_channel_mmse
-from .training import evaluate, train
+from .training import evaluate, train_epochs
 
 TRAIN_LOSS_HEADER = ["epoch", "loss", "lr", "steps"]
 METRICS_HEADER = ["snr_db", "clip_ratio", "n_taps", "variant", "psnr_db", "ssim",
@@ -86,18 +86,17 @@ def cmd_train(args) -> int:
     tcfg = cfg.train_config()
     print(f"training variant={cfg.variant} images={len(train_images)} "
           f"epochs={tcfg.epochs}", file=sys.stderr)
-    history = train(model, train_images, tcfg,
-                    log=lambda row: print(f"epoch {row['epoch']:4d}  "
-                                          f"loss {row['loss']:.6f}", file=sys.stderr))
-    _write_csv(out / "train_loss.csv", TRAIN_LOSS_HEADER,
-               [[r["epoch"], r["loss"], r["lr"], r["steps"]] for r in history])
+    rows = []
+    for row, opt, rng_state in train_epochs(model, train_images, tcfg):
+        print(f"epoch {row['epoch']:4d}  loss {row['loss']:.6f}", file=sys.stderr)
+        rows.append([row[k] for k in TRAIN_LOSS_HEADER])
+    _write_csv(out / "train_loss.csv", TRAIN_LOSS_HEADER, rows)
     (out / "config.txt").write_text(format_config(cfg))
     save_checkpoint(out / "checkpoint.jscc",
                     params=[(n, p.value) for n, p in model.params()],
                     buffers=model.buffers(),
                     train_config=cfg.to_dict(),
-                    opt_state=model._last_opt.state(),
-                    rng_state=model._last_rng_state)
+                    opt_state=opt.state(), rng_state=rng_state)
     print(f"wrote {out / 'checkpoint.jscc'}", file=sys.stderr)
     return 0
 
@@ -137,6 +136,8 @@ def cmd_eval(args) -> int:
                 for snr, rho, n_taps in product(snrs, ratios, taps_list)]
 
     sweep = points(clips)
+    if (longest := max(taps_list)) > model.rx_len:
+        raise ValueError(f"--taps: {longest} exceeds the received length {model.rx_len}")
     if model.cfg.variant == "direct" and clips != [math.inf]:
         print(f"note: the direct variant never clips; clip_ratio "
               f"{','.join(map(_fmt, clips))} is evaluated and reported as inf",

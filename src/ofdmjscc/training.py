@@ -74,6 +74,14 @@ class Adam:
         self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK, dtype=bool))
 
     def step(self, grads: dict[Node, np.ndarray], lr: float) -> None:
+        """One update of every parameter at learning rate ``lr``.
+
+        A bad gradient (missing, misshapen, non-finite or past ``ADAM_GRAD_MAX``)
+        raises before anything moves. A non-finite update raises only once its
+        block is computed: ``step_count`` and the moments up to that block have
+        moved, and the tensors listed before its tensor hold their new values.
+        ``train_epochs`` stops there; an optimizer that has raised must not step again.
+        """
         # check every gradient before anything moves: a rejected step changes nothing
         for name, node in self.params:
             if node not in grads:
@@ -147,9 +155,9 @@ def lr_at(tcfg: TrainConfig, epoch: int) -> float:
     return tcfg.lr * (e - epoch) / (e - d)
 
 
-def train(model: JsccModel, images: np.ndarray, tcfg: TrainConfig,
-          log=None) -> list[dict]:
-    """Train in place; returns one row per epoch (epoch, loss, lr, steps).
+def train_epochs(model: JsccModel, images: np.ndarray, tcfg: TrainConfig):
+    """Train in place; after each epoch, yield its row (epoch, loss, lr, steps),
+    the run's ``Adam`` and the training stream's ``bit_generator.state``.
 
     Every batch sees a fresh channel realization and noise per image. A
     non-finite or exploding loss raises ``RuntimeError``.
@@ -159,7 +167,6 @@ def train(model: JsccModel, images: np.ndarray, tcfg: TrainConfig,
         raise ValueError("train: empty dataset")
     rng = rng_stream(tcfg.seed, 2)
     opt = Adam(model.params())
-    history = []
     for epoch in range(tcfg.epochs):
         lr = lr_at(tcfg, epoch)
         perm = rng.permutation(n)
@@ -182,13 +189,13 @@ def train(model: JsccModel, images: np.ndarray, tcfg: TrainConfig,
             opt.step(grads, lr)
             total += lv * len(idx)
             seen += len(idx)
-        row = {"epoch": epoch, "loss": total / seen, "lr": lr, "steps": opt.step_count}
-        history.append(row)
-        if log is not None:
-            log(row)
-    model._last_opt = opt  # exposed for checkpointing
-    model._last_rng_state = rng.bit_generator.state
-    return history
+        yield ({"epoch": epoch, "loss": total / seen, "lr": lr, "steps": opt.step_count},
+               opt, rng.bit_generator.state)
+
+
+def train(model: JsccModel, images: np.ndarray, tcfg: TrainConfig) -> list[dict]:
+    """Train in place; returns ``train_epochs``' rows, one per epoch."""
+    return [row for row, _, _ in train_epochs(model, images, tcfg)]
 
 
 @dataclass
@@ -282,9 +289,9 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
     ``workers > 1`` spreads the image chunks over threads. Results are
     independent of ``workers``: each pair draws from its own RNG stream, the
     chunks do not depend on ``workers`` and aggregation runs in index order.
-    The condition is checked as a ``TrainConfig`` is; ``realizations`` and
-    ``workers`` must be ints >= 1. Numpy scalars count as the Python numbers
-    they hold.
+    The condition is checked as a ``TrainConfig`` is, and ``n_taps`` may not
+    exceed ``model.rx_len``; ``realizations`` and ``workers`` must be ints
+    >= 1. Numpy scalars count as the Python numbers they hold.
     """
     snr_db, clip_ratio, n_taps, gamma, seed, realizations, workers = (
         v.item() if isinstance(v, np.generic) else v
@@ -294,6 +301,9 @@ def evaluate(model: JsccModel, images: np.ndarray, *, snr_db: float,
                     seed=seed)
     except ValueError as e:
         raise ValueError(f"evaluate: {e}") from None
+    if n_taps > model.rx_len:
+        raise ValueError(f"evaluate: n_taps={n_taps} exceeds the received length "
+                         f"rx_len={model.rx_len}")
     for name, v in (("realizations", realizations), ("workers", workers)):
         if type(v) is not int or v < 1:
             raise ValueError(f"evaluate: {name} must be an int >= 1, got {v!r}")

@@ -426,6 +426,23 @@ def test_cli_eval_checks_every_sweep_point_first(tmp_path, tiny_cfg_file, capsys
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("taps, ok", [("3,9,17", False), ("9,16", True)])
+def test_cli_eval_bounds_taps_by_the_received_length_first(tmp_path, capsys, taps, ok):
+    # a direct tiny packet is 16 samples on air: 9 to 16 taps are the ISI
+    # regime, 17 is rejected before the first point is evaluated
+    cfg = tmp_path / "direct.cfg"
+    cfg.write_text(TINY_CFG.replace("variant = explicit", "variant = direct"))
+    run = _train(tmp_path, cfg)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.jscc"),
+               "--out", str(tmp_path / "ev"), "--taps", taps])
+    err = capsys.readouterr().err
+    assert rc == (0 if ok else 1)
+    assert (tmp_path / "ev" / "metrics.csv").exists() == ok
+    assert ok or ("error: --taps: 17 exceeds the received length 16" in err
+                  and "snr=" not in err)
+
+
 @pytest.mark.parametrize("value", [",", "10,,1"])
 @pytest.mark.parametrize("flag", ["--snr-db", "--clip-ratio", "--taps"])
 def test_cli_eval_empty_sweep_item_rejected(tmp_path, tiny_cfg_file, capsys, flag, value):

@@ -1,7 +1,9 @@
 """Optimizer mathematics, the schedule, loop determinism and checkpoint
 round-trips."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from ofdmjscc.data import load_checkpoint, save_checkpoint
 from ofdmjscc.metrics import psnr, psnr_batch, ssim_batch
 from ofdmjscc.model import build_model
 from ofdmjscc.ofdm import papr_db
-from ofdmjscc.training import Adam, TrainConfig, evaluate, lr_at, mse_loss, train
+from ofdmjscc.training import (Adam, TrainConfig, evaluate, lr_at, mse_loss, train,
+                               train_epochs)
 from conftest import tiny_model_cfg
 
 
@@ -354,6 +357,33 @@ def test_train_divergence_guard(monkeypatch):
         training.train(model, _toy_images(), _toy_tcfg())
 
 
+def test_train_returns_the_rows_train_epochs_yields():
+    imgs = _toy_images()
+    history = train(build_model(tiny_model_cfg("explicit"), seed=7), imgs, _toy_tcfg(seed=7))
+    rows = [row for row, _, _ in train_epochs(build_model(tiny_model_cfg("explicit"), seed=7),
+                                              imgs, _toy_tcfg(seed=7))]
+    assert repr(history) == repr(rows)   # float for float, -0.0 and nan included
+
+
+def test_train_leaves_nothing_on_the_model(monkeypatch):
+    # the run's optimizer and stream state go to train_epochs' caller; once
+    # train returns, nothing holds the optimizer's moments
+    built = []
+
+    class TrackedAdam(Adam):
+        def __init__(self, params):
+            super().__init__(params)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(training, "Adam", TrackedAdam)
+    model = build_model(tiny_model_cfg("explicit"), seed=3)
+    keys = list(vars(model))
+    train(model, _toy_images(), _toy_tcfg())
+    gc.collect()
+    assert list(vars(model)) == keys
+    assert len(built) == 1 and built[0]() is None
+
+
 def test_train_empty_dataset_rejected():
     model = build_model(tiny_model_cfg("direct"), seed=0)
     with pytest.raises(ValueError):
@@ -597,6 +627,23 @@ def test_evaluate_checks_its_arguments_before_encoding(monkeypatch, bad, message
     assert encoded == []
 
 
+@pytest.mark.parametrize("variant", ["direct", "implicit", "explicit"])
+def test_evaluate_bounds_n_taps_by_the_received_length(monkeypatch, variant):
+    # taps past l_fft (the ISI regime) are evaluated; taps past rx_len are
+    # rejected before anything is transmitted
+    model = build_model(tiny_model_cfg(variant), seed=2)
+    kw = dict(snr_db=10.0, realizations=2, seed=1)
+    assert model.rx_len > model.cfg.ofdm.l_fft
+    assert math.isfinite(evaluate(model, _toy_images(2), n_taps=model.rx_len, **kw).psnr_db)
+    sent = []
+    monkeypatch.setattr(training.JsccModel, "transmit",
+                        lambda self, *a, **k: sent.append(a))
+    with pytest.raises(ValueError, match=f"evaluate: n_taps={model.rx_len + 1} exceeds the "
+                                         f"received length rx_len={model.rx_len}"):
+        evaluate(model, _toy_images(2), n_taps=model.rx_len + 1, **kw)
+    assert sent == []
+
+
 @pytest.fixture
 def no_kept_normals():
     training._CHUNK_NORMALS.clear()
@@ -720,17 +767,16 @@ def test_evaluate_takes_numpy_scalars_as_python_numbers(no_kept_normals):
 # checkpointing through a real training run
 # ---------------------------------------------------------------------------
 
-def test_checkpoint_resume_is_bitwise(tmp_path):
+def test_checkpoint_round_trips_the_training_state_bitwise(tmp_path):
     imgs = _toy_images()
     cfg = tiny_model_cfg("explicit")
     model = build_model(cfg, seed=4)
-    train(model, imgs, _toy_tcfg(seed=4))
+    *_, (_, opt, rng_state) = train_epochs(model, imgs, _toy_tcfg(seed=4))
     path = tmp_path / "model.jscc"
     save_checkpoint(path, params=[(n, p.value) for n, p in model.params()],
                     buffers=model.buffers(),
                     train_config={"seed": 4},
-                    opt_state=model._last_opt.state(),
-                    rng_state=model._last_rng_state)
+                    opt_state=opt.state(), rng_state=rng_state)
     ck = load_checkpoint(path)
 
     clone = build_model(cfg, seed=99)
@@ -739,7 +785,9 @@ def test_checkpoint_resume_is_bitwise(tmp_path):
         assert n == cn and np.array_equal(p.value, cp.value)
     for (n, b), (cn, cb) in zip(model.buffers(), clone.buffers()):
         assert n == cn and np.array_equal(b, cb)
-    st, st2 = model._last_opt.state(), ck["opt_state"]
-    assert st["step"] == st2["step"]
-    assert all(np.array_equal(a, b) for a, b in zip(st["m"], st2["m"]))
-    assert ck["rng_state"] == model._last_rng_state
+    st = ck["opt_state"]
+    assert st["step"] == opt.step_count == 4
+    for mine, stored in ((opt.m, st["m"]), (opt.v, st["v"])):
+        assert len(mine) == len(stored)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, stored))
+    assert ck["rng_state"] == rng_state
